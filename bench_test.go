@@ -327,7 +327,7 @@ func BenchmarkFig7(b *testing.B) {
 				c = admission.Critical
 			}
 			active = append(active, admission.AppRef{Name: fmt.Sprintf("a%d", m), Crit: c})
-			rates := policy.Rates(active)
+			rates := admission.Rates(policy, active)
 			out = append(out, [2]float64{rates[fmt.Sprintf("a%d", 1)], rates[fmt.Sprintf("a%d", m)]})
 		}
 		return out

@@ -78,7 +78,7 @@ func runPolicy(policy admission.RatePolicy, apps, critN, usec int, metricsPath, 
 			crit = admission.Critical
 		}
 		active = append(active, admission.AppRef{Name: appName(m - 1), Crit: crit})
-		rates := policy.Rates(active)
+		rates := admission.Rates(policy, active)
 		fmt.Printf("%4d  ", m)
 		for i := 0; i < m; i++ {
 			fmt.Printf("%s=%.3f ", appName(i), rates[appName(i)])

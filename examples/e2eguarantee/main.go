@@ -94,12 +94,9 @@ func main() {
 	reqs := map[string]admission.Requirement{
 		"motion-ctrl": {BurstBytes: prof.Burst, DeadlineNS: deadline},
 	}
-	sys.SetAdmissionCheck(admission.DelayBoundCheck(reqs,
-		func(_ admission.AppRef, rate float64) netcalc.Curve {
-			// The app's service at its assigned rate, behind the
-			// platform's fixed latency.
-			return netcalc.RateLatency(rate, platformLat)
-		}))
+	// The app's service is its assigned rate behind the platform's
+	// fixed latency.
+	sys.SetAdmissionCheck(reqs, platformLat)
 
 	cl, err := sys.Client(noc.Coord{X: 1, Y: 1})
 	if err != nil {

@@ -49,12 +49,14 @@ type AppRef struct {
 	Crit Criticality
 }
 
-// RatePolicy derives per-application injection rates (bytes/ns) from
-// the set of currently active applications. The returned map is keyed
-// by application name.
+// RatePolicy derives the injection rates (bytes/ns) of a mode from its
+// class mix: every critical application gets one rate and every
+// best-effort application another.
 type RatePolicy interface {
-	Rates(active []AppRef) map[string]float64
 	Name() string
+	// ClassRates returns the critical and best-effort rates of a mode
+	// of `mode` active applications, `critical` of them critical.
+	ClassRates(mode, critical int) (critRate, beRate float64)
 }
 
 // Symmetric shares the budget uniformly: every active application gets
@@ -68,17 +70,13 @@ type Symmetric struct {
 // Name implements RatePolicy.
 func (Symmetric) Name() string { return "symmetric" }
 
-// Rates implements RatePolicy.
-func (p Symmetric) Rates(active []AppRef) map[string]float64 {
-	out := make(map[string]float64, len(active))
-	if len(active) == 0 {
-		return out
+// ClassRates implements RatePolicy.
+func (p Symmetric) ClassRates(mode, _ int) (critRate, beRate float64) {
+	if mode == 0 {
+		return 0, 0
 	}
-	r := p.TotalBytesPerNS / float64(len(active))
-	for _, a := range active {
-		out[a.Name] = r
-	}
-	return out
+	r := p.TotalBytesPerNS / float64(mode)
+	return r, r
 }
 
 // NonSymmetric preserves critical applications' guaranteed rate and
@@ -96,31 +94,38 @@ type NonSymmetric struct {
 // Name implements RatePolicy.
 func (NonSymmetric) Name() string { return "non-symmetric" }
 
-// Rates implements RatePolicy.
-func (p NonSymmetric) Rates(active []AppRef) map[string]float64 {
-	out := make(map[string]float64, len(active))
-	var crit, be int
-	for _, a := range active {
-		if a.Crit == Critical {
-			crit++
-		} else {
-			be++
-		}
-	}
-	remaining := p.TotalBytesPerNS - float64(crit)*p.CriticalBytesPerNS
-	beRate := 0.0
-	if be > 0 {
-		beRate = remaining / float64(be)
+// ClassRates implements RatePolicy.
+func (p NonSymmetric) ClassRates(mode, critical int) (critRate, beRate float64) {
+	if be := mode - critical; be > 0 {
+		beRate = (p.TotalBytesPerNS - float64(critical)*p.CriticalBytesPerNS) / float64(be)
 	}
 	if beRate < p.FloorBytesPerNS {
 		beRate = p.FloorBytesPerNS
 	}
+	return p.CriticalBytesPerNS, beRate
+}
+
+// classRate picks an application's rate out of its mode's class rates.
+func classRate(c Criticality, critRate, beRate float64) float64 {
+	if c == Critical {
+		return critRate
+	}
+	return beRate
+}
+
+// Rates assigns every application of an active set its rate under p,
+// keyed by application name: the assignment the RM's confMsg carries.
+func Rates(p RatePolicy, active []AppRef) map[string]float64 {
+	critical := 0
 	for _, a := range active {
 		if a.Crit == Critical {
-			out[a.Name] = p.CriticalBytesPerNS
-		} else {
-			out[a.Name] = beRate
+			critical++
 		}
+	}
+	critRate, beRate := p.ClassRates(len(active), critical)
+	out := make(map[string]float64, len(active))
+	for _, a := range active {
+		out[a.Name] = classRate(a.Crit, critRate, beRate)
 	}
 	return out
 }

@@ -59,7 +59,7 @@ func TestSymmetricPolicy(t *testing.T) {
 	p := Symmetric{TotalBytesPerNS: 8}
 	apps := []AppRef{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}}
 	for mode := 1; mode <= 4; mode++ {
-		rates := p.Rates(apps[:mode])
+		rates := Rates(p, apps[:mode])
 		want := 8 / float64(mode)
 		for _, a := range apps[:mode] {
 			if got := rates[a.Name]; math.Abs(got-want) > 1e-12 {
@@ -67,7 +67,7 @@ func TestSymmetricPolicy(t *testing.T) {
 			}
 		}
 	}
-	if len(p.Rates(nil)) != 0 {
+	if len(Rates(p, nil)) != 0 {
 		t.Error("empty active set should give no rates")
 	}
 	if p.Name() != "symmetric" {
@@ -82,7 +82,7 @@ func TestNonSymmetricPolicy(t *testing.T) {
 		{Name: "be1"},
 		{Name: "be2"},
 	}
-	rates := p.Rates(apps)
+	rates := Rates(p, apps)
 	if rates["crit1"] != 3 {
 		t.Errorf("critical rate = %v, want 3", rates["crit1"])
 	}
@@ -96,7 +96,7 @@ func TestNonSymmetricPolicy(t *testing.T) {
 		{Name: "c1", Crit: Critical}, {Name: "c2", Crit: Critical},
 		{Name: "c3", Crit: Critical}, {Name: "be"},
 	}
-	rates = p.Rates(many)
+	rates = Rates(p, many)
 	if rates["c1"] != 3 || rates["c3"] != 3 {
 		t.Error("critical guarantee lost under load")
 	}

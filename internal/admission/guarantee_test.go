@@ -2,53 +2,70 @@ package admission
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
-	"repro/internal/netcalc"
 	"repro/internal/noc"
 	"repro/internal/sim"
 )
 
-// testService builds a simple end-to-end service curve: the assigned
-// rate after a fixed 100ns platform latency.
-func testService(_ AppRef, rate float64) netcalc.Curve {
-	return netcalc.RateLatency(rate, 100)
-}
+// testLatencyNS is the fixed platform latency of the tests' service:
+// the assigned rate after 100 ns.
+const testLatencyNS = 100
 
 func TestDelayBoundCheckAccepts(t *testing.T) {
-	reqs := map[string]Requirement{
-		"crit": {BurstBytes: 64, DeadlineNS: 1000},
-	}
-	check := DelayBoundCheck(reqs, testService)
-	active := []AppRef{{Name: "crit", Crit: Critical}}
-	rates := map[string]float64{"crit": 0.8}
-	// d = 100 + 64/0.8 = 180ns < 1000ns.
-	if err := check(active, rates, active[0]); err != nil {
-		t.Errorf("feasible admission rejected: %v", err)
+	// Symmetric 0.8 B/ns to a single app: d = 100 + 64/0.8 = 180ns < 1000ns.
+	d := NewDecider(Symmetric{TotalBytesPerNS: 0.8}, testLatencyNS, nil)
+	mode := []Member{{Name: "crit", Crit: Critical, Requirement: Requirement{BurstBytes: 64, DeadlineNS: 1000}}}
+	if reason := d.Check(mode, 1); reason != "" {
+		t.Errorf("feasible admission rejected: %s", reason)
 	}
 }
 
 func TestDelayBoundCheckRejectsDeadlineViolation(t *testing.T) {
-	reqs := map[string]Requirement{
-		"crit": {BurstBytes: 64, DeadlineNS: 150},
+	crit := Member{Name: "crit", Requirement: Requirement{BurstBytes: 64, DeadlineNS: 150}}
+	// Symmetric 0.2 B/ns over two apps: d = 100 + 64/0.1 = 740ns > 150ns.
+	d := NewDecider(Symmetric{TotalBytesPerNS: 0.2}, testLatencyNS, nil)
+	reason := d.Check([]Member{crit, {Name: "newcomer"}}, 0)
+	if want := "crit delay bound 740.0 ns exceeds deadline 150.0 ns"; reason != want {
+		t.Errorf("deadline violation: reason %q, want %q", reason, want)
 	}
-	check := DelayBoundCheck(reqs, testService)
-	active := []AppRef{{Name: "crit"}}
-	// d = 100 + 64/0.1 = 740ns > 150ns.
-	if err := check(active, map[string]float64{"crit": 0.1}, AppRef{Name: "newcomer"}); err == nil {
-		t.Error("deadline violation admitted")
-	}
-	// Zero rate is always a violation for a guaranteed app.
-	if err := check(active, map[string]float64{}, AppRef{Name: "x"}); err == nil {
-		t.Error("zero-rate assignment admitted")
+	// Zero rate is always a violation for a guaranteed app: a starved
+	// best-effort class under the non-symmetric policy.
+	starve := NewDecider(NonSymmetric{TotalBytesPerNS: 1, CriticalBytesPerNS: 1}, testLatencyNS, nil)
+	mode := []Member{{Name: "c", Crit: Critical}, crit}
+	if reason := starve.Check(mode, 1); reason != "crit would receive no bandwidth" {
+		t.Errorf("zero-rate assignment: reason %q", reason)
 	}
 }
 
 func TestDelayBoundCheckIgnoresBestEffort(t *testing.T) {
-	check := DelayBoundCheck(map[string]Requirement{}, testService)
-	active := []AppRef{{Name: "be1"}, {Name: "be2"}}
-	if err := check(active, map[string]float64{}, active[1]); err != nil {
-		t.Errorf("best-effort apps without requirements rejected: %v", err)
+	d := NewDecider(NonSymmetric{TotalBytesPerNS: 1, CriticalBytesPerNS: 1}, testLatencyNS, nil)
+	// Both best-effort apps get no bandwidth at all, yet without a
+	// deadline they are admitted.
+	mode := []Member{{Name: "be1", Requirement: Requirement{BurstBytes: 1e9}}, {Name: "be2"}, {Name: "c", Crit: Critical}}
+	if reason := d.Check(mode, 1); reason != "" {
+		t.Errorf("best-effort apps without requirements rejected: %s", reason)
+	}
+}
+
+func TestRequirementValidate(t *testing.T) {
+	for _, r := range []Requirement{
+		{BurstBytes: -64, DeadlineNS: 1000},
+		{BurstBytes: math.NaN(), DeadlineNS: 1000},
+		{BurstBytes: math.Inf(1), DeadlineNS: 1000},
+		{BurstBytes: 64, DeadlineNS: -1},
+		{BurstBytes: 64, DeadlineNS: math.NaN()},
+		{BurstBytes: 64, DeadlineNS: math.Inf(1)},
+	} {
+		if r.Validate() == nil {
+			t.Errorf("Validate(%+v) accepted", r)
+		}
+	}
+	for _, r := range []Requirement{{}, {BurstBytes: 64, DeadlineNS: 1000}} {
+		if err := r.Validate(); err != nil {
+			t.Errorf("Validate(%+v): %v", r, err)
+		}
 	}
 }
 
@@ -73,7 +90,7 @@ func TestOnlineAdmissionRejection(t *testing.T) {
 		// needs rate >= 0.4: mode 2 ok (0.5), mode 3 fails (0.333).
 		reqs[fmt.Sprintf("app%d", i)] = Requirement{BurstBytes: 64, DeadlineNS: 260}
 	}
-	sys.SetAdmissionCheck(DelayBoundCheck(reqs, testService))
+	sys.SetAdmissionCheck(reqs, testLatencyNS)
 
 	clients := make([]*Client, 3)
 	for i := 0; i < 3; i++ {
@@ -130,7 +147,7 @@ func TestRejectedAppCanRetryAfterCapacityFrees(t *testing.T) {
 		"b": {BurstBytes: 64, DeadlineNS: 260},
 		"c": {BurstBytes: 64, DeadlineNS: 260},
 	}
-	sys.SetAdmissionCheck(DelayBoundCheck(reqs, testService))
+	sys.SetAdmissionCheck(reqs, testLatencyNS)
 
 	mk := func(name string, x int) *Client {
 		cl, err := sys.Client(noc.Coord{X: x, Y: 2})

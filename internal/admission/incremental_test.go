@@ -2,10 +2,10 @@ package admission
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/netcalc"
-	"repro/internal/noc"
 )
 
 // TestEventQueueFIFO pins FIFO order through the head-indexed queue's
@@ -70,110 +70,101 @@ func TestEventQueueAllocFlat(t *testing.T) {
 	}
 }
 
-// TestDelayBoundCheckIncremental verifies the incremental admission
-// check: when a decision re-evaluates an active set whose rates did
-// not change, the service-curve constructor must not run again, and
-// admitting one more application must only recompute the bounds of
-// applications whose assigned rate actually moved.
+// TestDelayBoundCheckIncremental verifies the decider's bound memo:
+// re-validating a mode whose rates did not change must not reach the
+// netcalc cache at all, members sharing a (burst, rate) pair share one
+// computation, a rate change recomputes only the pairs it moved, and a
+// new service latency invalidates the memo.
 func TestDelayBoundCheckIncremental(t *testing.T) {
-	reqs := map[string]Requirement{
-		"a": {BurstBytes: 64, DeadlineNS: 1e6},
-		"b": {BurstBytes: 64, DeadlineNS: 1e6},
-		"c": {BurstBytes: 64, DeadlineNS: 1e6},
+	cache := netcalc.NewCache(0)
+	lookups := func() uint64 {
+		st := cache.Stats()
+		return st.Hits + st.Misses
 	}
-	calls := make(map[string]int)
-	check := DelayBoundCheck(reqs, func(app AppRef, rate float64) netcalc.Curve {
-		calls[app.Name]++
-		return netcalc.RateLatency(rate, 100)
-	})
-
-	apps := []AppRef{
-		{Name: "a", Node: noc.Coord{X: 1, Y: 1}},
-		{Name: "b", Node: noc.Coord{X: 2, Y: 2}},
-		{Name: "c", Node: noc.Coord{X: 3, Y: 3}},
+	d := NewDecider(Symmetric{TotalBytesPerNS: 1.5}, 100, cache)
+	req := Requirement{BurstBytes: 64, DeadlineNS: 1e6}
+	mode := []Member{
+		{Name: "a", Requirement: req},
+		{Name: "b", Requirement: req},
+		{Name: "c", Requirement: Requirement{BurstBytes: 128, DeadlineNS: 1e6}},
 	}
-	rates := map[string]float64{"a": 0.4, "b": 0.4, "c": 0.4}
-	if err := check(apps, rates, apps[2]); err != nil {
-		t.Fatalf("first decision rejected: %v", err)
+	if reason := d.Check(mode, 0); reason != "" {
+		t.Fatalf("first decision rejected: %s", reason)
 	}
-	if calls["a"] != 1 || calls["b"] != 1 || calls["c"] != 1 {
-		t.Fatalf("first decision calls = %v, want one per app", calls)
+	// a and b share (64, 0.5); c is (128, 0.5).
+	if got := lookups(); got != 2 {
+		t.Fatalf("first decision computed %d bounds, want 2", got)
 	}
 
-	// Same active set, same rates: a fresh decision must be free.
-	if err := check(apps, rates, apps[0]); err != nil {
-		t.Fatalf("repeat decision rejected: %v", err)
+	// Same mode, same rates: a fresh decision must be free.
+	if reason := d.Check(mode, 0); reason != "" {
+		t.Fatalf("repeat decision rejected: %s", reason)
 	}
-	if calls["a"] != 1 || calls["b"] != 1 || calls["c"] != 1 {
-		t.Fatalf("repeat decision recomputed: calls = %v", calls)
-	}
-
-	// Only c's rate changes: a and b must not be recomputed.
-	rates2 := map[string]float64{"a": 0.4, "b": 0.4, "c": 0.3}
-	if err := check(apps, rates2, apps[2]); err != nil {
-		t.Fatalf("rate-change decision rejected: %v", err)
-	}
-	if calls["a"] != 1 || calls["b"] != 1 {
-		t.Fatalf("unaffected apps recomputed: calls = %v", calls)
-	}
-	if calls["c"] != 2 {
-		t.Fatalf("changed app not recomputed: calls = %v", calls)
+	if got := lookups(); got != 2 {
+		t.Fatalf("repeat decision recomputed: %d lookups", got)
 	}
 
-	// A requirement identity change (same name, new node) invalidates.
-	apps2 := []AppRef{apps[0], apps[1], {Name: "c", Node: noc.Coord{X: 0, Y: 3}}}
-	if err := check(apps2, rates2, apps2[2]); err != nil {
-		t.Fatalf("ref-change decision rejected: %v", err)
+	// Dropping c moves the rate to 0.75: only (64, 0.75) is new.
+	if reason := d.Check(mode[:2], 0); reason != "" {
+		t.Fatalf("rate-change decision rejected: %s", reason)
 	}
-	if calls["c"] != 3 {
-		t.Fatalf("re-registered app not recomputed: calls = %v", calls)
+	if got := lookups(); got != 3 {
+		t.Fatalf("rate-change decision: %d lookups, want 3", got)
+	}
+
+	// A policy change that lands on already-seen rates stays free.
+	d.SetService(Symmetric{TotalBytesPerNS: 1}, 100)
+	if reason := d.Check(mode[:2], 0); reason != "" {
+		t.Fatalf("policy-change decision rejected: %s", reason)
+	}
+	if got := lookups(); got != 3 {
+		t.Fatalf("policy change onto a memoized rate recomputed: %d lookups", got)
+	}
+
+	// A new latency invalidates every memoized bound.
+	d.SetService(Symmetric{TotalBytesPerNS: 1}, 200)
+	if reason := d.Check(mode[:2], 0); reason != "" {
+		t.Fatalf("latency-change decision rejected: %s", reason)
+	}
+	if got := lookups(); got != 4 {
+		t.Fatalf("latency change kept a stale bound: %d lookups, want 4", got)
 	}
 }
 
 // TestDelayBoundCheckMatchesUncached pins bit-identical decisions: the
-// incremental check must agree with a from-scratch evaluation of the
-// same bound on every step of a churn sequence, including rejections.
+// memoized decider must agree with a from-scratch evaluation of the
+// same bounds on every step of a sweep across the feasibility
+// boundary, including rejections and the violator it names.
 func TestDelayBoundCheckMatchesUncached(t *testing.T) {
-	reqs := map[string]Requirement{
-		"a": {BurstBytes: 256, DeadlineNS: 2200},
-		"b": {BurstBytes: 512, DeadlineNS: 2400},
-		"c": {BurstBytes: 1024, DeadlineNS: 2600},
+	const latencyNS = 150
+	mode := []Member{
+		{Name: "a", Crit: Critical, Requirement: Requirement{BurstBytes: 256, DeadlineNS: 2200}},
+		{Name: "b", Requirement: Requirement{BurstBytes: 512, DeadlineNS: 2400}},
+		{Name: "c", Requirement: Requirement{BurstBytes: 1024, DeadlineNS: 2600}},
 	}
-	base := func(app AppRef, rate float64) netcalc.Curve {
-		return netcalc.RateLatency(rate, 100+float64(app.Node.X)*50)
-	}
-	inc := DelayBoundCheck(reqs, base)
-	ref := func(active []AppRef, rates map[string]float64, candidate AppRef) error {
-		for _, app := range active {
-			req, has := reqs[app.Name]
-			if !has {
-				continue
-			}
-			rate := rates[app.Name]
-			alpha := netcalc.TokenBucket(req.BurstBytes, rate)
-			d := netcalc.DelayBound(alpha, base(app, rate))
-			if d > req.DeadlineNS {
-				return fmt.Errorf("reject %s", app.Name)
+	ref := func(p RatePolicy, members []Member, critical int) string {
+		critRate, beRate := p.ClassRates(len(members), critical)
+		for _, m := range members {
+			rate := classRate(m.Crit, critRate, beRate)
+			alpha := netcalc.TokenBucket(m.BurstBytes, rate)
+			if d := netcalc.DelayBound(alpha, netcalc.RateLatency(rate, latencyNS)); d > m.DeadlineNS {
+				return m.Name
 			}
 		}
-		return nil
+		return ""
 	}
-	apps := []AppRef{
-		{Name: "a", Node: noc.Coord{X: 1, Y: 1}},
-		{Name: "b", Node: noc.Coord{X: 2, Y: 2}},
-		{Name: "c", Node: noc.Coord{X: 3, Y: 3}},
-	}
-	// Sweep the shared rate across the feasibility boundary in both
+	d := NewDecider(Symmetric{TotalBytesPerNS: 1}, latencyNS, nil)
+	// Sweep the budget across the feasibility boundary in both
 	// directions; acceptance must flip at exactly the same steps.
 	for step := 0; step < 40; step++ {
-		r := 0.2 + 0.05*float64(step%20)
-		active := apps[:1+step%3]
-		rates := map[string]float64{"a": r, "b": r, "c": r}
-		gotErr := inc(active, rates, active[len(active)-1]) != nil
-		wantErr := ref(active, rates, active[len(active)-1]) != nil
-		if gotErr != wantErr {
-			t.Fatalf("step %d (rate %.2f, %d apps): incremental reject=%v, reference reject=%v",
-				step, r, len(active), gotErr, wantErr)
+		p := Symmetric{TotalBytesPerNS: 0.4 + 0.1*float64(step%20)}
+		d.SetService(p, latencyNS)
+		members := mode[:1+step%3]
+		critical := 1
+		got, want := d.Check(members, critical), ref(p, members, critical)
+		if (got == "") != (want == "") || (want != "" && !strings.HasPrefix(got, want+" ")) {
+			t.Fatalf("step %d (budget %.2f, %d apps): decider %q, reference violator %q",
+				step, p.TotalBytesPerNS, len(members), got, want)
 		}
 	}
 }

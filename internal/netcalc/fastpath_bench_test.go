@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/netcalc"
-	"repro/internal/noc"
 )
 
 // This file benchmarks the analytic-plane fast path (canonical-curve
@@ -63,59 +62,58 @@ func BenchmarkConvolveCached(b *testing.B) {
 
 // ---- admission churn workload ----
 
-const benchChurnApps = 24
+const (
+	benchChurnApps = 24
+	// churnLatencyNS is the fixed latency of the churn world's
+	// rate-latency service.
+	churnLatencyNS = 120
+)
 
 // churnWorld builds the admission scenario: benchChurnApps contracted
-// applications with per-app rates that do not depend on the active set
-// (a fixed-allocation policy), each served by a staircase-composed
-// end-to-end curve. Deadlines are loose so every decision walks the
-// full active set.
-func churnWorld() (reqs map[string]admission.Requirement,
-	apps []admission.AppRef, rates map[string]float64,
-	base func(admission.AppRef, float64) netcalc.Curve) {
-	reqs = make(map[string]admission.Requirement, benchChurnApps)
-	rates = make(map[string]float64, benchChurnApps)
-	for i := 0; i < benchChurnApps; i++ {
-		name := fmt.Sprintf("app%d", i)
-		reqs[name] = admission.Requirement{
-			BurstBytes: float64(int(128) << (i % 3)),
-			DeadlineNS: 1e9,
+// applications, every fourth critical, whose rates come from a
+// non-symmetric policy over the current mode and whose service is a
+// rate-latency server at that rate — the model the admission decider
+// checks. Deadlines are loose so every decision walks the full active
+// set.
+func churnWorld() (admission.RatePolicy, []admission.Member) {
+	policy := admission.NonSymmetric{TotalBytesPerNS: 2.4, CriticalBytesPerNS: 0.2, FloorBytesPerNS: 0.01}
+	apps := make([]admission.Member, benchChurnApps)
+	for i := range apps {
+		apps[i] = admission.Member{
+			Name:        fmt.Sprintf("app%d", i),
+			Requirement: admission.Requirement{BurstBytes: float64(int(128) << (i % 3)), DeadlineNS: 1e9},
 		}
-		rates[name] = 0.05 + 0.01*float64(i%8)
-		apps = append(apps, admission.AppRef{
-			Name: name, Node: noc.Coord{X: i % 4, Y: (i / 4) % 4},
-		})
+		if i%4 == 0 {
+			apps[i].Crit = admission.Critical
+		}
 	}
-	base = func(app admission.AppRef, rate float64) netcalc.Curve {
-		return netcalc.Convolve(
-			netcalc.TDMAService(rate*8, 20, 100, 8),
-			netcalc.RateLatency(rate, 100+50*float64(app.Node.X)),
-		)
-	}
-	return reqs, apps, rates, base
+	return policy, apps
 }
 
-// uncachedCheck is the pre-fast-path DelayBoundCheck: every decision
-// recomputes every active application's bound from scratch.
-func uncachedCheck(reqs map[string]admission.Requirement,
-	base func(admission.AppRef, float64) netcalc.Curve) admission.CheckFunc {
-	return func(active []admission.AppRef, rates map[string]float64, candidate admission.AppRef) error {
-		for _, app := range active {
-			req, has := reqs[app.Name]
-			if !has {
-				continue
+// checkFunc is one admission decision over a mode with its number of
+// critical members; "" admits.
+type checkFunc func(mode []admission.Member, critical int) string
+
+// uncachedCheck is the reference decision without any memo: every
+// decision recomputes every active application's bound from scratch.
+func uncachedCheck(policy admission.RatePolicy) checkFunc {
+	return func(mode []admission.Member, critical int) string {
+		critRate, beRate := policy.ClassRates(len(mode), critical)
+		for _, m := range mode {
+			rate := beRate
+			if m.Crit == admission.Critical {
+				rate = critRate
 			}
-			rate := rates[app.Name]
 			if rate <= 0 {
-				return fmt.Errorf("admission: %s would receive no bandwidth", app.Name)
+				return m.Name + " would receive no bandwidth"
 			}
-			alpha := netcalc.TokenBucket(req.BurstBytes, rate)
-			d := netcalc.DelayBound(alpha, base(app, rate))
-			if math.IsInf(d, 1) || d > req.DeadlineNS {
-				return fmt.Errorf("admission: %s exceeds deadline", app.Name)
+			alpha := netcalc.TokenBucket(m.BurstBytes, rate)
+			d := netcalc.DelayBound(alpha, netcalc.RateLatency(rate, churnLatencyNS))
+			if math.IsInf(d, 1) || d > m.DeadlineNS {
+				return m.Name + " exceeds deadline"
 			}
 		}
-		return nil
+		return ""
 	}
 }
 
@@ -123,10 +121,15 @@ func uncachedCheck(reqs map[string]admission.Requirement,
 // membership of a rotating application (admit on odd visits, release
 // on even) and re-validates the post-decision active set — the RM's
 // per-activation call pattern under steady app churn.
-func churnDecisions(b *testing.B, check admission.CheckFunc,
-	apps []admission.AppRef, rates map[string]float64) {
-	active := append([]admission.AppRef(nil), apps...)
-	out := make([]admission.AppRef, 0, len(apps))
+func churnDecisions(b *testing.B, check checkFunc, apps []admission.Member) {
+	active := append([]admission.Member(nil), apps...)
+	out := make([]admission.Member, 0, len(apps))
+	critical := 0
+	for _, a := range apps {
+		if a.Crit == admission.Critical {
+			critical++
+		}
+	}
 	for i := 0; i < b.N; i++ {
 		victim := i % len(apps)
 		if i/len(apps)%2 == 0 {
@@ -135,33 +138,38 @@ func churnDecisions(b *testing.B, check admission.CheckFunc,
 			for j, a := range active {
 				if j != victim%len(active) {
 					out = append(out, a)
+				} else if a.Crit == admission.Critical {
+					critical--
 				}
 			}
 			active, out = out, active
 		} else {
 			// Admit round: bring it back.
 			active = append(active, apps[victim])
+			if apps[victim].Crit == admission.Critical {
+				critical++
+			}
 		}
-		if err := check(active, rates, apps[victim]); err != nil {
-			b.Fatalf("decision %d rejected: %v", i, err)
+		if reason := check(active, critical); reason != "" {
+			b.Fatalf("decision %d rejected: %s", i, reason)
 		}
 	}
 }
 
 func BenchmarkAdmissionChurn(b *testing.B) {
-	reqs, apps, rates, base := churnWorld()
-	check := admission.DelayBoundCheck(reqs, base)
+	policy, apps := churnWorld()
+	check := admission.NewDecider(policy, churnLatencyNS, netcalc.NewCache(0)).Check
 	b.ReportAllocs()
 	b.ResetTimer()
-	churnDecisions(b, check, apps, rates)
+	churnDecisions(b, check, apps)
 }
 
 func BenchmarkAdmissionChurnUncached(b *testing.B) {
-	reqs, apps, rates, base := churnWorld()
-	check := uncachedCheck(reqs, base)
+	policy, apps := churnWorld()
+	check := uncachedCheck(policy)
 	b.ReportAllocs()
 	b.ResetTimer()
-	churnDecisions(b, check, apps, rates)
+	churnDecisions(b, check, apps)
 }
 
 // ---- machine-readable emission for the CI smoke job ----

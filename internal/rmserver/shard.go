@@ -188,7 +188,7 @@ func (s *shard) decide(op *Op) Decision {
 	switch op.Kind {
 	case OpRegister:
 		if p == nil {
-			p = newPlatform(op.Platform, s.cfg.DefaultPlatform, s.cache)
+			p = newPlatform(s.cfg.DefaultPlatform, s.cache)
 			s.platforms[op.Platform] = p
 		}
 		d := p.register(op)
@@ -208,7 +208,7 @@ func (s *shard) decide(op *Op) Decision {
 			return Decision{Mode: modeOf(p), Reason: "modechange without spec"}
 		}
 		if p == nil {
-			p = newPlatform(op.Platform, s.cfg.DefaultPlatform, s.cache)
+			p = newPlatform(s.cfg.DefaultPlatform, s.cache)
 			s.platforms[op.Platform] = p
 		}
 		d := p.modeChange(*op.Spec)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/admission"
-	"repro/internal/netcalc"
 	"repro/internal/noc"
 	"repro/internal/sim"
 )
@@ -75,10 +74,7 @@ func runAdmission(as AdmissionSpec) (Result, error) {
 		for i := as.CritApps; i < as.Apps; i++ {
 			reqs[appName(i)] = admission.Requirement{BurstBytes: as.BurstBytes, DeadlineNS: as.DeadlineNS}
 		}
-		sys.SetAdmissionCheck(admission.DelayBoundCheck(reqs,
-			func(_ admission.AppRef, rate float64) netcalc.Curve {
-				return netcalc.RateLatency(rate, as.ServiceLatencyNS)
-			}))
+		sys.SetAdmissionCheck(reqs, as.ServiceLatencyNS)
 	}
 	for i := 0; i < as.Apps; i++ {
 		node := noc.Coord{X: i % 4, Y: (i / 4) % 4}
