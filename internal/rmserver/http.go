@@ -172,6 +172,9 @@ func (wo *wireOp) toOp(kind OpKind) (Op, error) {
 		if op.App == "" {
 			return Op{}, fmt.Errorf("missing app")
 		}
+		if err := op.requirement().Validate(); err != nil {
+			return Op{}, err
+		}
 	case OpModeChange:
 		if op.Spec == nil {
 			return Op{}, fmt.Errorf("missing spec")
@@ -371,6 +374,9 @@ func parseOpLine(s string) (Op, error) {
 		}
 		if op.Platform == "" || op.App == "" {
 			return Op{}, fmt.Errorf("missing platform or app")
+		}
+		if err := op.requirement().Validate(); err != nil {
+			return Op{}, err
 		}
 		return op, nil
 	case "w":

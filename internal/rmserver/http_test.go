@@ -131,12 +131,32 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"/v1/modechange", `{"platform":"p"}`},          // missing spec
 		{"/v1/batch", `{"ops":[{"kind":"bogus"}]}`},     // unknown kind
 		{"/v1/batch", `{"ops":[{},{},{},{},{},{},{}]}`}, // over MaxBatch
+		// Contracts the bound computation cannot take.
+		{"/v1/register", `{"platform":"p","app":"a","burst_bytes":-64,"deadline_ns":1000}`},
+		{"/v1/register", `{"platform":"p","app":"a","burst_bytes":64,"deadline_ns":-1}`},
+		{"/v1/register", `{"platform":"p","app":"a","burst_bytes":1e999,"deadline_ns":1000}`},
+		{"/v1/batch", `{"ops":[{"kind":"register","platform":"p","app":"a","burst_bytes":-64,"deadline_ns":1000}]}`},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, srv.URL+c.path, c.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s %q: %d %s, want 400", c.path, c.body, resp.StatusCode, body)
 		}
+	}
+	for _, body := range []string{"r p a b -64 1000\n", "r p a b 64 NaN\n", "r p a b +Inf 1000\n"} {
+		resp, err := http.Post(srv.URL+"/v1/batch", OpsContentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("compact batch %q: %d, want 400", body, resp.StatusCode)
+		}
+	}
+	// The service keeps deciding after the bad requests.
+	resp, body := postJSON(t, srv.URL+"/v1/register", `{"platform":"p","app":"a","burst_bytes":64,"deadline_ns":1000}`)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"ok":true`) {
+		t.Fatalf("register after bad requests: %d %s", resp.StatusCode, body)
 	}
 }
 
