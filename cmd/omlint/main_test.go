@@ -120,6 +120,10 @@ func TestLintStrictLabelEscaping(t *testing.T) {
 	}
 	// Legal escapes pass.
 	wantClean(t, lintStr(head+`x{l="a\\b\"c\nd",m="plain"} 1`+"\n# EOF\n", true))
+	// A '}' inside a quoted value does not close the label set, in the
+	// sample's labels or in an exemplar's.
+	wantClean(t, lintStr("# TYPE x gauge\n# HELP x h\nx{a=\"b}c\"} 1\n# EOF\n", true))
+	wantClean(t, lintStr(head+`x{a="}",b="{}"} 1 # {t="a}b"} 1`+"\n# EOF\n", true))
 }
 
 func TestLintAcceptsExemplars(t *testing.T) {

@@ -210,4 +210,8 @@ func TestParseSampleLineEdges(t *testing.T) {
 	if !strings.HasPrefix(name, "m{") {
 		t.Fatal("label block lost")
 	}
+	name, v, ok = parseSampleLine(`m{a="b}c",d="#"} 4 # {t="x}"} 1`)
+	if !ok || name != `m{a="b}c",d="#"}` || v != 4 {
+		t.Fatalf("brace-in-value line = %q, %v, %v", name, v, ok)
+	}
 }

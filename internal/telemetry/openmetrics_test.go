@@ -211,3 +211,29 @@ func TestHistogramExemplarReplacement(t *testing.T) {
 		t.Fatal("Reset did not clear exemplar")
 	}
 }
+
+func TestSplitSample(t *testing.T) {
+	for _, c := range []struct {
+		line, name, labels, rest string
+		ok                       bool
+	}{
+		{"x 1", "x", "", " 1", true},
+		{"x\t1", "x", "", "\t1", true},
+		{`x{a="b"} 1 2`, "x", `{a="b"}`, " 1 2", true},
+		{`x{a="b}c",d="e"} 1`, "x", `{a="b}c",d="e"}`, " 1", true},
+		{`x{a="q\"}"} 1`, "x", `{a="q\"}"}`, " 1", true},
+		{`x{a="# }"} 1 # {t="}"} 2`, "x", `{a="# }"}`, ` 1 # {t="}"} 2`, true},
+		// Unbalanced quotes fall back to the first '}'.
+		{`x{l="dangling\"} 1`, "x", `{l="dangling\"}`, " 1", true},
+		{`x{a="b 1`, "", "", "", false},
+		{"name_only", "", "", "", false},
+		{" 5", "", "", "", false},
+		{"", "", "", "", false},
+	} {
+		name, labels, rest, ok := SplitSample(c.line)
+		if name != c.name || labels != c.labels || rest != c.rest || ok != c.ok {
+			t.Errorf("SplitSample(%q) = %q, %q, %q, %v; want %q, %q, %q, %v",
+				c.line, name, labels, rest, ok, c.name, c.labels, c.rest, c.ok)
+		}
+	}
+}
