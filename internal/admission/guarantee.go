@@ -3,8 +3,6 @@ package admission
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/netcalc"
 )
 
 // Requirement is an application's declared traffic contract and QoS
@@ -38,42 +36,28 @@ type Member struct {
 	Requirement
 }
 
-// maxBoundMemo caps a Decider's bound memo. Modes oscillate over few
-// rates, so the memo stays tiny; the cap only guards against
-// adversarial churn over unbounded distinct rates.
-const maxBoundMemo = 8192
-
-type boundKey struct{ burst, rate float64 }
-
 // Decider is the Section V admission decision, running the Section
 // IV-A bound computation online: every contracted member's (burst,
 // assigned rate) token bucket must meet its deadline through a
 // rate-latency server of fixed latency (NoC path plus DRAM WCD) at
-// that rate. The bound thus depends only on (burst, rate) and is
-// memoized per pair over a netcalc.Cache; a hit returns the identical
-// computation's result, so decisions are bit-identical to a
-// from-scratch check. Not safe for concurrent use: the simulated RM
-// and each rmserver platform own theirs from one goroutine.
+// that rate. The delay bound of that pair is the closed form
+// latency + burst/rate, bit-identical to netcalc.DelayBound over the
+// same two curves (pinned by TestDelayBoundCheckMatchesUncached). Not
+// safe for concurrent use: the simulated RM and each rmserver platform
+// own theirs from one goroutine.
 type Decider struct {
 	policy    RatePolicy
 	latencyNS float64
-	cache     *netcalc.Cache
-	bounds    map[boundKey]float64
 }
 
-// NewDecider builds a decider computing bounds through cache (nil:
-// uncached).
-func NewDecider(policy RatePolicy, latencyNS float64, cache *netcalc.Cache) *Decider {
-	return &Decider{policy: policy, latencyNS: latencyNS, cache: cache, bounds: make(map[boundKey]float64)}
+// NewDecider builds a decider for a rate policy and service latency.
+func NewDecider(policy RatePolicy, latencyNS float64) *Decider {
+	return &Decider{policy: policy, latencyNS: latencyNS}
 }
 
 // SetService swaps the rate policy and the service latency (an online
-// mode change). The bound memo survives a policy change; a new latency
-// invalidates it.
+// mode change).
 func (d *Decider) SetService(policy RatePolicy, latencyNS float64) {
-	if latencyNS != d.latencyNS {
-		clear(d.bounds)
-	}
 	d.policy, d.latencyNS = policy, latencyNS
 }
 
@@ -100,26 +84,11 @@ func (d *Decider) Check(members []Member, critical int) string {
 		if rate <= 0 {
 			return fmt.Sprintf("%s would receive no bandwidth", m.Name)
 		}
-		if b := d.bound(m.BurstBytes, rate); math.IsInf(b, 1) || b > m.DeadlineNS {
+		if b := d.latencyNS + m.BurstBytes/rate; math.IsInf(b, 1) || b > m.DeadlineNS {
 			return fmt.Sprintf("%s delay bound %.1f ns exceeds deadline %.1f ns", m.Name, b, m.DeadlineNS)
 		}
 	}
 	return ""
-}
-
-// bound returns the memoized delay bound of a (burst, rate) token
-// bucket through the rate-latency service at that rate.
-func (d *Decider) bound(burst, rate float64) float64 {
-	k := boundKey{burst, rate}
-	if b, ok := d.bounds[k]; ok {
-		return b
-	}
-	b := d.cache.DelayBound(netcalc.TokenBucket(burst, rate), netcalc.RateLatency(rate, d.latencyNS))
-	if len(d.bounds) >= maxBoundMemo {
-		clear(d.bounds)
-	}
-	d.bounds[k] = b
-	return b
 }
 
 // SetAdmissionCheck installs the analytic admission test the RM runs
@@ -132,6 +101,6 @@ func (s *System) SetAdmissionCheck(reqs map[string]Requirement, latencyNS float6
 	s.reqs = reqs
 	s.decider = nil
 	if reqs != nil {
-		s.decider = NewDecider(s.policy, latencyNS, netcalc.NewCache(0))
+		s.decider = NewDecider(s.policy, latencyNS)
 	}
 }

@@ -15,7 +15,7 @@ const testLatencyNS = 100
 
 func TestDelayBoundCheckAccepts(t *testing.T) {
 	// Symmetric 0.8 B/ns to a single app: d = 100 + 64/0.8 = 180ns < 1000ns.
-	d := NewDecider(Symmetric{TotalBytesPerNS: 0.8}, testLatencyNS, nil)
+	d := NewDecider(Symmetric{TotalBytesPerNS: 0.8}, testLatencyNS)
 	mode := []Member{{Name: "crit", Crit: Critical, Requirement: Requirement{BurstBytes: 64, DeadlineNS: 1000}}}
 	if reason := d.Check(mode, 1); reason != "" {
 		t.Errorf("feasible admission rejected: %s", reason)
@@ -25,14 +25,14 @@ func TestDelayBoundCheckAccepts(t *testing.T) {
 func TestDelayBoundCheckRejectsDeadlineViolation(t *testing.T) {
 	crit := Member{Name: "crit", Requirement: Requirement{BurstBytes: 64, DeadlineNS: 150}}
 	// Symmetric 0.2 B/ns over two apps: d = 100 + 64/0.1 = 740ns > 150ns.
-	d := NewDecider(Symmetric{TotalBytesPerNS: 0.2}, testLatencyNS, nil)
+	d := NewDecider(Symmetric{TotalBytesPerNS: 0.2}, testLatencyNS)
 	reason := d.Check([]Member{crit, {Name: "newcomer"}}, 0)
 	if want := "crit delay bound 740.0 ns exceeds deadline 150.0 ns"; reason != want {
 		t.Errorf("deadline violation: reason %q, want %q", reason, want)
 	}
 	// Zero rate is always a violation for a guaranteed app: a starved
 	// best-effort class under the non-symmetric policy.
-	starve := NewDecider(NonSymmetric{TotalBytesPerNS: 1, CriticalBytesPerNS: 1}, testLatencyNS, nil)
+	starve := NewDecider(NonSymmetric{TotalBytesPerNS: 1, CriticalBytesPerNS: 1}, testLatencyNS)
 	mode := []Member{{Name: "c", Crit: Critical}, crit}
 	if reason := starve.Check(mode, 1); reason != "crit would receive no bandwidth" {
 		t.Errorf("zero-rate assignment: reason %q", reason)
@@ -40,7 +40,7 @@ func TestDelayBoundCheckRejectsDeadlineViolation(t *testing.T) {
 }
 
 func TestDelayBoundCheckIgnoresBestEffort(t *testing.T) {
-	d := NewDecider(NonSymmetric{TotalBytesPerNS: 1, CriticalBytesPerNS: 1}, testLatencyNS, nil)
+	d := NewDecider(NonSymmetric{TotalBytesPerNS: 1, CriticalBytesPerNS: 1}, testLatencyNS)
 	// Both best-effort apps get no bandwidth at all, yet without a
 	// deadline they are admitted.
 	mode := []Member{{Name: "be1", Requirement: Requirement{BurstBytes: 1e9}}, {Name: "be2"}, {Name: "c", Crit: Critical}}

@@ -2,6 +2,8 @@ package admission
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -70,71 +72,12 @@ func TestEventQueueAllocFlat(t *testing.T) {
 	}
 }
 
-// TestDelayBoundCheckIncremental verifies the decider's bound memo:
-// re-validating a mode whose rates did not change must not reach the
-// netcalc cache at all, members sharing a (burst, rate) pair share one
-// computation, a rate change recomputes only the pairs it moved, and a
-// new service latency invalidates the memo.
-func TestDelayBoundCheckIncremental(t *testing.T) {
-	cache := netcalc.NewCache(0)
-	lookups := func() uint64 {
-		st := cache.Stats()
-		return st.Hits + st.Misses
-	}
-	d := NewDecider(Symmetric{TotalBytesPerNS: 1.5}, 100, cache)
-	req := Requirement{BurstBytes: 64, DeadlineNS: 1e6}
-	mode := []Member{
-		{Name: "a", Requirement: req},
-		{Name: "b", Requirement: req},
-		{Name: "c", Requirement: Requirement{BurstBytes: 128, DeadlineNS: 1e6}},
-	}
-	if reason := d.Check(mode, 0); reason != "" {
-		t.Fatalf("first decision rejected: %s", reason)
-	}
-	// a and b share (64, 0.5); c is (128, 0.5).
-	if got := lookups(); got != 2 {
-		t.Fatalf("first decision computed %d bounds, want 2", got)
-	}
-
-	// Same mode, same rates: a fresh decision must be free.
-	if reason := d.Check(mode, 0); reason != "" {
-		t.Fatalf("repeat decision rejected: %s", reason)
-	}
-	if got := lookups(); got != 2 {
-		t.Fatalf("repeat decision recomputed: %d lookups", got)
-	}
-
-	// Dropping c moves the rate to 0.75: only (64, 0.75) is new.
-	if reason := d.Check(mode[:2], 0); reason != "" {
-		t.Fatalf("rate-change decision rejected: %s", reason)
-	}
-	if got := lookups(); got != 3 {
-		t.Fatalf("rate-change decision: %d lookups, want 3", got)
-	}
-
-	// A policy change that lands on already-seen rates stays free.
-	d.SetService(Symmetric{TotalBytesPerNS: 1}, 100)
-	if reason := d.Check(mode[:2], 0); reason != "" {
-		t.Fatalf("policy-change decision rejected: %s", reason)
-	}
-	if got := lookups(); got != 3 {
-		t.Fatalf("policy change onto a memoized rate recomputed: %d lookups", got)
-	}
-
-	// A new latency invalidates every memoized bound.
-	d.SetService(Symmetric{TotalBytesPerNS: 1}, 200)
-	if reason := d.Check(mode[:2], 0); reason != "" {
-		t.Fatalf("latency-change decision rejected: %s", reason)
-	}
-	if got := lookups(); got != 4 {
-		t.Fatalf("latency change kept a stale bound: %d lookups, want 4", got)
-	}
-}
-
-// TestDelayBoundCheckMatchesUncached pins bit-identical decisions: the
-// memoized decider must agree with a from-scratch evaluation of the
-// same bounds on every step of a sweep across the feasibility
-// boundary, including rejections and the violator it names.
+// TestDelayBoundCheckMatchesUncached pins the decider to netcalc, the
+// analysed reference: its decisions agree with a netcalc evaluation of
+// the same bounds on every step of a sweep across the feasibility
+// boundary, including rejections and the violator it names, and its
+// closed-form bound latency + burst/rate equals netcalc.DelayBound of
+// the token bucket through the rate-latency server bit for bit.
 func TestDelayBoundCheckMatchesUncached(t *testing.T) {
 	const latencyNS = 150
 	mode := []Member{
@@ -153,7 +96,7 @@ func TestDelayBoundCheckMatchesUncached(t *testing.T) {
 		}
 		return ""
 	}
-	d := NewDecider(Symmetric{TotalBytesPerNS: 1}, latencyNS, nil)
+	d := NewDecider(Symmetric{TotalBytesPerNS: 1}, latencyNS)
 	// Sweep the budget across the feasibility boundary in both
 	// directions; acceptance must flip at exactly the same steps.
 	for step := 0; step < 40; step++ {
@@ -165,6 +108,66 @@ func TestDelayBoundCheckMatchesUncached(t *testing.T) {
 		if (got == "") != (want == "") || (want != "" && !strings.HasPrefix(got, want+" ")) {
 			t.Fatalf("step %d (budget %.2f, %d apps): decider %q, reference violator %q",
 				step, p.TotalBytesPerNS, len(members), got, want)
+		}
+	}
+
+	// Property: on fixed-seed random (burst, rate, latency), zero burst
+	// and zero latency included, and on both policies' class rates over
+	// modes 1..512, the closed form is netcalc's bound bit for bit, and
+	// the decider admits a deadline of exactly that bound and rejects
+	// one ulp below it.
+	check := func(burst, rate, lat float64) {
+		t.Helper()
+		closed := lat + burst/rate
+		ref := netcalc.DelayBound(netcalc.TokenBucket(burst, rate), netcalc.RateLatency(rate, lat))
+		if math.Float64bits(closed) != math.Float64bits(ref) {
+			t.Fatalf("b=%v R=%v L=%v: closed form %v, netcalc %v", burst, rate, lat, closed, ref)
+		}
+		if ref <= 0 {
+			return // a zero deadline declares no requirement
+		}
+		// A one-app symmetric mode assigns exactly rate.
+		d.SetService(Symmetric{TotalBytesPerNS: rate}, lat)
+		m := []Member{{Name: "x", Requirement: Requirement{BurstBytes: burst, DeadlineNS: ref}}}
+		if got := d.Check(m, 0); got != "" {
+			t.Fatalf("b=%v R=%v L=%v: deadline at the bound rejected: %s", burst, rate, lat, got)
+		}
+		m[0].DeadlineNS = math.Nextafter(ref, 0)
+		if d.Check(m, 0) == "" {
+			t.Fatalf("b=%v R=%v L=%v: deadline one ulp below the bound %v admitted", burst, rate, lat, ref)
+		}
+	}
+	rnd := rand.New(rand.NewSource(16))
+	for i := 0; i < 20000; i++ {
+		burst := math.Ldexp(rnd.Float64(), rnd.Intn(24))
+		rate := math.Ldexp(rnd.Float64()+0.5, rnd.Intn(16)-12)
+		lat := rnd.Float64() * 1e4
+		switch i % 4 {
+		case 1:
+			burst = 0
+		case 2:
+			lat = 0
+		}
+		check(burst, rate, lat)
+	}
+	policies := []RatePolicy{
+		Symmetric{TotalBytesPerNS: 1.5},
+		Symmetric{TotalBytesPerNS: 2.4},
+		NonSymmetric{TotalBytesPerNS: 2.4, CriticalBytesPerNS: 0.2, FloorBytesPerNS: 0.01},
+		NonSymmetric{TotalBytesPerNS: 1, CriticalBytesPerNS: 0.3, FloorBytesPerNS: 0.001},
+	}
+	for _, p := range policies {
+		for mode := 1; mode <= 512; mode++ {
+			for _, critical := range []int{0, 1, mode / 4, mode / 2} {
+				critRate, beRate := p.ClassRates(mode, critical)
+				for _, rate := range []float64{critRate, beRate} {
+					for _, burst := range []float64{0, 64, 256, 1000, 4096} {
+						for _, lat := range []float64{0, 120, latencyNS, 500} {
+							check(burst, rate, lat)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -23,9 +23,9 @@ func TestTelemetryStallSpanAndMonitors(t *testing.T) {
 
 	granted := 0
 	eng.At(0, func() {
-		r.Request("crit", 80, func() { granted++ })  // fits
-		r.Request("crit", 80, func() { granted++ })  // depletes -> throttled
-		r.Request("free", 64, func() { granted++ })  // unregulated pass-through
+		r.Request("crit", 80, func() { granted++ }) // fits
+		r.Request("crit", 80, func() { granted++ }) // depletes -> throttled
+		r.Request("free", 64, func() { granted++ }) // unregulated pass-through
 	})
 	eng.Run()
 	if granted != 3 {

@@ -7,14 +7,13 @@ import (
 
 // Memoized min-plus operator cache.
 //
-// The analytic plane recomputes the same curve arithmetic over and
-// over: every online admission decision re-evaluates the bounds of
-// every active application, every mode change re-derives rate
-// assignments that mostly repeat earlier modes, and every audited
-// registration composes the same per-resource service curves. A Cache
-// memoizes the four operators on interned operand identities, so a
-// repeated composition costs two hash lookups instead of an O(n*m)
-// segment convolution.
+// Its one user is the runtime auditor (core/audit.go): every audited
+// registration composes the same per-resource NoC and DRAM service
+// curves through DelayBoundThrough, so the registrations of co-located
+// apps repeat the same convolutions and delay bounds. A Cache memoizes
+// those two operators on interned operand identities, so a repeated
+// composition costs two hash lookups instead of an O(n*m) segment
+// convolution.
 //
 // Correctness contract: a cache hit returns the stored result of the
 // exact computation a miss would perform — operands are matched by
@@ -22,25 +21,22 @@ import (
 // paths are bit-identical, never merely epsilon-close. Curves are
 // immutable after construction, so sharing a stored result is safe.
 //
-// All methods are safe for concurrent use (sweep workers may share a
-// cache) and are nil-safe: every method on a nil *Cache falls through
-// to the uncached operator, so call sites can thread an optional cache
-// without branching.
+// All methods are safe for concurrent use and are nil-safe: every
+// method on a nil *Cache falls through to the uncached operator, so
+// call sites can thread an optional cache without branching.
 
 // opCode discriminates the memoized operators in a cache key.
 type opCode uint8
 
 const (
 	opConvolve opCode = iota
-	opDeconvolve
-	opResidual
 	opDelayBound
 )
 
 // opKey is a cache key: the operator plus both operands' interned
-// identities. Keys are directional — DelayBound and Deconvolve are not
-// commutative, and Convolve is not normalized either so that a hit is
-// always the stored result of the identical call.
+// identities. Keys are directional — DelayBound is not commutative,
+// and Convolve is not normalized either so that a hit is always the
+// stored result of the identical call.
 type opKey struct {
 	op   opCode
 	a, b uint64
@@ -49,9 +45,8 @@ type opKey struct {
 // cacheEntry is one memoized result on the LRU list.
 type cacheEntry struct {
 	key    opKey
-	curve  Curve   // Convolve, Deconvolve, Residual
+	curve  Curve   // Convolve
 	scalar float64 // DelayBound
-	err    error   // Deconvolve unboundedness
 
 	prev, next *cacheEntry
 }
@@ -195,38 +190,6 @@ func (c *Cache) Convolve(f, g Curve) Curve {
 		return e.curve
 	}
 	out := Convolve(fi.c, gi.c)
-	c.insert(&cacheEntry{key: k, curve: out})
-	return out
-}
-
-// Deconvolve is the memoized min-plus deconvolution f (/) g; the
-// unboundedness error is memoized alongside the curve.
-func (c *Cache) Deconvolve(f, g Curve) (Curve, error) {
-	if c == nil {
-		return Deconvolve(f, g)
-	}
-	fi, gi := c.in.intern(f), c.in.intern(g)
-	k := opKey{opDeconvolve, fi.id, gi.id}
-	if e, ok := c.lookup(k); ok {
-		return e.curve, e.err
-	}
-	out, err := Deconvolve(fi.c, gi.c)
-	c.insert(&cacheEntry{key: k, curve: out, err: err})
-	return out, err
-}
-
-// Residual is the memoized leftover service curve under blind
-// multiplexing.
-func (c *Cache) Residual(beta, alphaCross Curve) Curve {
-	if c == nil {
-		return Residual(beta, alphaCross)
-	}
-	bi, ai := c.in.intern(beta), c.in.intern(alphaCross)
-	k := opKey{opResidual, bi.id, ai.id}
-	if e, ok := c.lookup(k); ok {
-		return e.curve
-	}
-	out := Residual(bi.c, ai.c)
 	c.insert(&cacheEntry{key: k, curve: out})
 	return out
 }

@@ -120,22 +120,27 @@ func TestEmitRMServerBench(t *testing.T) {
 	// sides' runs alternate, so a burst of outside load (another
 	// package's tests under `go test ./...`) lands on both sides alike
 	// instead of on whichever side's three runs it happens to overlap.
+	// Both sides are float T/N: at tens of ns per decision, the integer
+	// NsPerOp would quantize the ratio in ~1% steps.
+	nsPerOp := func(r testing.BenchmarkResult) float64 {
+		return float64(r.T.Nanoseconds()) / float64(r.N)
+	}
 	do := testing.Benchmark(BenchmarkFleetDoBatched)
 	tracedOff := testing.Benchmark(BenchmarkFleetDoTracedOff)
 	for i := 0; i < 2; i++ {
-		if n := testing.Benchmark(BenchmarkFleetDoBatched); n.NsPerOp() < do.NsPerOp() {
+		if n := testing.Benchmark(BenchmarkFleetDoBatched); nsPerOp(n) < nsPerOp(do) {
 			do = n
 		}
-		if n := testing.Benchmark(BenchmarkFleetDoTracedOff); n.NsPerOp() < tracedOff.NsPerOp() {
+		if n := testing.Benchmark(BenchmarkFleetDoTracedOff); nsPerOp(n) < nsPerOp(tracedOff) {
 			tracedOff = n
 		}
 	}
 	parse := testing.Benchmark(BenchmarkParseOpsText)
 
-	decPerSec := 1e9 / float64(do.NsPerOp())
+	decPerSec := 1e9 / nsPerOp(do)
 	// One parse op decodes a whole batch.
 	parsedOpsPerSec := 1e9 / float64(parse.NsPerOp()) * benchBatchOps
-	tracedOffPerSec := 1e9 / float64(tracedOff.NsPerOp())
+	tracedOffPerSec := 1e9 / nsPerOp(tracedOff)
 	// Same-process ratio: decisions/sec with a sample-0 tracer attached
 	// over decisions/sec without one. A cross-machine absolute floor
 	// cannot gate a 3% budget, but this ratio can — both measurements
@@ -147,8 +152,8 @@ func TestEmitRMServerBench(t *testing.T) {
 	// the baseline machine happened to land on.
 	traceOffSpeedup := min(tracedOffPerSec/decPerSec, 1.0)
 
-	t.Logf("fleet.Do batched: %d ns/decision, %.0f decisions/sec, %d allocs/decision",
-		do.NsPerOp(), decPerSec, do.AllocsPerOp())
+	t.Logf("fleet.Do batched: %.1f ns/decision, %.0f decisions/sec, %d allocs/decision",
+		nsPerOp(do), decPerSec, do.AllocsPerOp())
 	t.Logf("compact parse:    %.0f ops/sec decoded (%d ns per %d-op batch)",
 		parsedOpsPerSec, parse.NsPerOp(), benchBatchOps)
 	t.Logf("trace off:        %.0f decisions/sec with sample-0 tracer (speedup %.4f)",
@@ -179,7 +184,7 @@ func TestEmitRMServerBench(t *testing.T) {
 		"benchmark": "rmserver_service_plane",
 		"batch_ops": benchBatchOps,
 		"fleet_do_batched": map[string]float64{
-			"ns_per_decision":     float64(do.NsPerOp()),
+			"ns_per_decision":     nsPerOp(do),
 			"decisions_per_sec":   decPerSec,
 			"allocs_per_decision": float64(do.AllocsPerOp()),
 		},

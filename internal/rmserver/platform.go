@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/admission"
-	"repro/internal/netcalc"
 )
 
 // platform is one admitted-set state machine, owned by exactly one
@@ -22,12 +21,11 @@ type platform struct {
 	dec   *admission.Decider
 }
 
-// newPlatform builds an empty platform whose decider computes bounds
-// through the owning shard's operator cache.
-func newPlatform(spec PlatformSpec, cache *netcalc.Cache) *platform {
+// newPlatform builds an empty platform.
+func newPlatform(spec PlatformSpec) *platform {
 	return &platform{
 		spec: spec,
-		dec:  admission.NewDecider(spec.ratePolicy(), spec.ServiceLatencyNS, cache),
+		dec:  admission.NewDecider(spec.ratePolicy(), spec.ServiceLatencyNS),
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/netcalc"
 	"repro/internal/telemetry"
 )
 
@@ -126,7 +125,7 @@ func TestBreakerWindowForgetsOldThrottles(t *testing.T) {
 // ---- platform decision core ----
 
 func testPlatform(spec PlatformSpec) *platform {
-	return newPlatform(spec, netcalc.NewCache(0))
+	return newPlatform(spec)
 }
 
 func regOp(app string, crit bool, burst, deadline float64) *Op {

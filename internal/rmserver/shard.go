@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/netcalc"
 	"repro/internal/telemetry"
 	"repro/internal/wtrace"
 )
@@ -44,7 +43,6 @@ type shard struct {
 	done  chan struct{}
 
 	platforms map[string]*platform
-	cache     *netcalc.Cache
 
 	decisions  *telemetry.Counter
 	batches    *telemetry.Counter
@@ -71,7 +69,6 @@ func newShard(id int, cfg Config, reg *telemetry.Registry) *shard {
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		platforms: make(map[string]*platform),
-		cache:     netcalc.NewCache(0),
 
 		decisions:  reg.Counter("rmserver_shard_decisions"),
 		batches:    reg.Counter("rmserver_shard_batches"),
@@ -188,7 +185,7 @@ func (s *shard) decide(op *Op) Decision {
 	switch op.Kind {
 	case OpRegister:
 		if p == nil {
-			p = newPlatform(s.cfg.DefaultPlatform, s.cache)
+			p = newPlatform(s.cfg.DefaultPlatform)
 			s.platforms[op.Platform] = p
 		}
 		d := p.register(op)
@@ -208,7 +205,7 @@ func (s *shard) decide(op *Op) Decision {
 			return Decision{Mode: modeOf(p), Reason: "modechange without spec"}
 		}
 		if p == nil {
-			p = newPlatform(s.cfg.DefaultPlatform, s.cache)
+			p = newPlatform(s.cfg.DefaultPlatform)
 			s.platforms[op.Platform] = p
 		}
 		d := p.modeChange(*op.Spec)

@@ -47,7 +47,7 @@ type traceEvent struct {
 	ts    sim.Time
 	dur   sim.Duration // phaseComplete only
 	tid   int
-	value float64 // phaseCounter only
+	value float64  // phaseCounter only
 	args  []string // key/value pairs, rendered into "args"
 }
 
