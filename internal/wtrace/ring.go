@@ -10,22 +10,31 @@ import (
 // (shard loops, the HTTP handler) push under a short critical section;
 // a scrape snapshots the contents and renders outside the lock, so a
 // slow reader never stalls the request path.
+//
+// The buffer is allocated on the first push: its spans hold pointers,
+// so a live buffer is rescanned by every GC cycle, and a tracer that
+// never samples (Sample 0, the default deployment) would otherwise pay
+// that mark work on a core it shares with the decision path.
 type ring struct {
 	mu    sync.Mutex
-	buf   []Span
+	size  int
+	buf   []Span // nil until the first push
 	next  int    // next write position
 	n     uint64 // total spans ever pushed
 	wrapd bool   // buf has wrapped at least once
 }
 
 func newRing(size int) *ring {
-	return &ring{buf: make([]Span, size)}
+	return &ring{size: size}
 }
 
 // push appends a span, overwriting the oldest when full. Reports
 // whether an unscraped span was overwritten.
 func (r *ring) push(s Span) (overwrote bool) {
 	r.mu.Lock()
+	if r.buf == nil {
+		r.buf = make([]Span, r.size)
+	}
 	overwrote = r.wrapd || r.n >= uint64(len(r.buf))
 	r.buf[r.next] = s
 	r.next++

@@ -215,6 +215,42 @@ func TestWriteTraceEventsValidJSONAndConservation(t *testing.T) {
 	}
 }
 
+// TestUnsampledTracerHoldsNoSpanBuffer pins the lazy ring: a tracer
+// that never samples keeps no span buffer for the GC to rescan, and a
+// scrape of it is an empty, valid payload.
+func TestUnsampledTracerHoldsNoSpanBuffer(t *testing.T) {
+	tr := New(Config{Sample: 0, Seed: 5})
+	for i := 0; i < 100; i++ {
+		if rt := tr.StartRequest(""); rt != nil {
+			t.Fatal("Sample 0 must not start request traces")
+		}
+	}
+	if tr.ring.buf != nil {
+		t.Fatalf("unsampled tracer allocated a %d-span buffer", len(tr.ring.buf))
+	}
+	var sb strings.Builder
+	if err := tr.WriteTraceEvents(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Spans      int `json:"spans"`
+		SpansTotal int `json:"spans_total"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Spans != 0 || doc.SpansTotal != 0 {
+		t.Fatalf("spans=%d total=%d, want 0/0", doc.Spans, doc.SpansTotal)
+	}
+
+	sampled := New(Config{Sample: 1, Seed: 5, RingSpans: 16})
+	rt := sampled.StartRequest("")
+	rt.Finish(rt.StartNS() + 1)
+	if len(sampled.ring.buf) != 16 {
+		t.Fatalf("first push allocated %d spans, want RingSpans=16", len(sampled.ring.buf))
+	}
+}
+
 func TestRingWraparoundCountsDropped(t *testing.T) {
 	tr := New(Config{Sample: 1, Seed: 11, Now: fixedClock(1e9, 3), RingSpans: 8})
 	for i := 0; i < 20; i++ {
