@@ -20,8 +20,10 @@
 // Observations are pushed from the simulation goroutine; snapshots may
 // be pulled concurrently from an exporter goroutine (see Server). All
 // mutable state is mutex-guarded with locks never held across
-// callbacks, and the observe path allocates nothing after
-// registration, preserving the repository's hot-path guarantees.
+// callbacks. After registration the observe path allocates only the
+// first time one of an app's histograms reaches a new octave (one
+// 256 B block, at most 59 per histogram); steady-state observation
+// allocates nothing, preserving the repository's hot-path guarantees.
 package audit
 
 import (

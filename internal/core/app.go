@@ -211,6 +211,7 @@ func (p *Platform) AddApp(cfg AppConfig) (*App, error) {
 	a.reg = p.ClusterRegulator(cfg.Cluster)
 	p.apps[cfg.Name] = a
 	p.order = append(p.order, cfg.Name)
+	p.homed[p.HomeChannel(cfg.Cluster)]++
 	if p.aud != nil {
 		p.registerAudit(a)
 	}

@@ -44,6 +44,7 @@ func (p *Platform) EnableAudit(opts AuditOptions) (*audit.Auditor, error) {
 	// the re-derivation after each app joins) cheap. Cached results are
 	// bit-identical to the uncached composition, so bounds don't move.
 	p.ncCache = netcalc.NewCache(0)
+	p.dramReq, p.dramReqErr = wcd.ServiceCurve(wcd.DefaultParams(), 32)
 	for _, name := range p.order {
 		p.registerAudit(p.apps[name])
 	}
@@ -89,15 +90,7 @@ func (p *Platform) channelContenders(a *App) int {
 		}
 		return n
 	}
-	home := p.HomeChannel(a.cfg.Cluster)
-	n := 0
-	for _, name := range p.order {
-		o := p.apps[name]
-		if o != a && p.HomeChannel(o.cfg.Cluster) == home {
-			n++
-		}
-	}
-	return n
+	return p.homed[p.HomeChannel(a.cfg.Cluster)] - 1
 }
 
 // analyticDelayBoundNS composes the app's Section IV-A end-to-end
@@ -123,11 +116,10 @@ func (p *Platform) analyticDelayBoundNS(a *App) float64 {
 
 	contenders := p.channelContenders(a)
 
-	dramReq, err := wcd.ServiceCurve(wcd.DefaultParams(), 32)
-	if err != nil {
+	if p.dramReqErr != nil {
 		return 0 // no analytic bound derivable; attribution-only
 	}
-	dramBytes := netcalc.Scale(dramReq, float64(prof.ReqBytes))
+	dramBytes := netcalc.Scale(p.dramReq, float64(prof.ReqBytes))
 
 	targets := p.chans
 	if p.distributed && p.cfg.ChannelMode == ChannelPartition {

@@ -1,0 +1,200 @@
+package core
+
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/dram/wcd"
+	"repro/internal/netcalc"
+	"repro/internal/noc"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// referenceContenders counts a's channel contenders by scanning every
+// registered app.
+func referenceContenders(p *Platform, a *App) int {
+	if !p.distributed || p.cfg.ChannelMode != ChannelPartition {
+		return len(p.apps) - 1
+	}
+	home := p.HomeChannel(a.cfg.Cluster)
+	n := 0
+	for _, name := range p.order {
+		if o := p.apps[name]; o != a && p.HomeChannel(o.cfg.Cluster) == home {
+			n++
+		}
+	}
+	return n
+}
+
+// referenceBoundNS composes a's audit bound the direct way: a freshly
+// derived WCD DRAM curve, referenceContenders, and the uncached netcalc
+// operators. EnableAudit shares the DRAM curve per platform, keeps a
+// per-channel app count and memoizes the operators; none of that may
+// move a bound by one bit.
+func referenceBoundNS(p *Platform, a *App) float64 {
+	prof := a.cfg.Profile
+	thinkNS := prof.Think.Nanoseconds()
+	if thinkNS < 1 {
+		thinkNS = 1
+	}
+	alpha := netcalc.TokenBucket(float64(prof.ReqBytes), float64(prof.ReqBytes)/thinkNS)
+	contenders := referenceContenders(p, a)
+	targets := p.chans
+	if p.distributed && p.cfg.ChannelMode == ChannelPartition {
+		home := p.HomeChannel(a.cfg.Cluster)
+		targets = p.chans[home : home+1]
+	}
+	dramReq, err := wcd.ServiceCurve(wcd.DefaultParams(), 32)
+	if err != nil {
+		return 0
+	}
+	dramBytes := netcalc.Scale(dramReq, float64(prof.ReqBytes))
+	var bound float64
+	for _, ch := range targets {
+		b := netcalc.DelayBoundThrough(alpha,
+			p.mesh.ServiceCurve(a.cfg.Node, ch.node, contenders),
+			dramBytes,
+			p.mesh.ServiceCurve(ch.node, a.cfg.Node, contenders))
+		if b > bound {
+			bound = b
+		}
+	}
+	if a.reg != nil {
+		if _, budgeted := a.reg.Budget(a.cfg.Name); budgeted {
+			bound += a.reg.Period().Nanoseconds()
+		}
+	}
+	return bound
+}
+
+// interleavedPlatform builds a clustered 8x8 platform whose channels
+// interleave rows, so every app contends on every channel.
+func interleavedPlatform(t *testing.T) *Platform {
+	t.Helper()
+	spec := RunSpec{MeshWidth: 8, Clusters: 4, Channels: 4, Duration: sim.Microsecond}
+	cfg := spec.platformConfig()
+	cfg.ChannelMode = ChannelInterleave
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, node := range []noc.Coord{{X: 0, Y: 0}, {X: 1, Y: 2}, {X: 3, Y: 5}, {X: 4, Y: 1}, {X: 6, Y: 7}, {X: 7, Y: 3}} {
+		if err := buildHog(p, RunSpec{HogClass: trace.Infotainment, MemGuard: i%2 == 0, Seed: 3},
+			i, node, p.ClusterOfColumn(node.X)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// TestAuditBoundsMatchReference pins every registered bound to the
+// reference composition bit for bit, on the big mesh (ChannelPartition),
+// a clustered ChannelInterleave platform and the legacy 6-hog platform,
+// including one app that joins after EnableAudit. The contender counts
+// are compared on their own too: the NoC term rarely binds today, so a
+// miscounted contender would seldom move a bound.
+func TestAuditBoundsMatchReference(t *testing.T) {
+	build := func(spec RunSpec) func(*testing.T) *Platform {
+		return func(t *testing.T) *Platform {
+			p, _, err := BuildPlatform(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) *Platform
+		late  noc.Coord
+	}{
+		{"bigmesh", build(BigMeshSpec(0)), noc.Coord{X: 9, Y: 4}},
+		{"interleave", interleavedPlatform, noc.Coord{X: 5, Y: 6}},
+		{"legacy", build(RunSpec{Hogs: 6, HogClass: trace.Infotainment, MemGuard: true, Duration: sim.Millisecond}), noc.Coord{X: 2, Y: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.build(t)
+			want := make(map[string]float64, len(p.order)+1)
+			checkContenders := func(a *App) {
+				if got, ref := p.channelContenders(a), referenceContenders(p, a); got != ref {
+					t.Errorf("%s: %d channel contenders, reference %d", a.cfg.Name, got, ref)
+				}
+			}
+			for _, name := range p.order {
+				want[name] = referenceBoundNS(p, p.apps[name])
+				checkContenders(p.apps[name])
+			}
+			aud, err := p.EnableAudit(AuditOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof, err := trace.NewProfile(trace.Infotainment, 1<<40, 99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			late, err := p.AddApp(AppConfig{
+				Name: "late", Node: tc.late, Cluster: p.ClusterOfColumn(tc.late.X), Scheme: 2, Profile: prof,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want["late"] = referenceBoundNS(p, late)
+			checkContenders(late)
+
+			finite := 0
+			for _, name := range p.order {
+				got := aud.App(name).Bound().DelayBoundNS
+				if math.Float64bits(got) != math.Float64bits(want[name]) {
+					t.Errorf("%s: bound %v, reference %v", name, got, want[name])
+				}
+				if got > 0 && !math.IsInf(got, 1) {
+					finite++
+				}
+			}
+			if finite == 0 {
+				t.Fatal("no app got a finite analytic bound; the comparison is vacuous")
+			}
+		})
+	}
+}
+
+// TestEnableAuditAllocation gates what arming the auditor costs on the
+// big mesh: per-app registration must stay a few KiB, not a dense
+// histogram array per attribution stage.
+func TestEnableAuditAllocation(t *testing.T) {
+	spec := BigMeshSpec(0)
+	spec.Telemetry = true
+	p, _, err := BuildPlatform(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := p.EnableAudit(AuditOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 8 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("EnableAudit on %d apps allocated %d B, want < %d", len(p.order), got, limit)
+	}
+}
+
+// BenchmarkBigMeshSetup measures building the big mesh and arming its
+// auditor, the setup a bigmesh run pays before its first event:
+//
+//	go test ./internal/core/ -run '^$' -bench BigMeshSetup -benchmem
+func BenchmarkBigMeshSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, _, err := BuildPlatform(BigMeshSpec(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.EnableAudit(AuditOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -321,6 +321,8 @@ type Platform struct {
 
 	apps  map[string]*App
 	order []string
+	// homed[c] counts the apps whose home channel is c.
+	homed []int
 
 	mpamArb  *mpam.Arbiter
 	mpamMons *mpam.MonitorSet
@@ -333,6 +335,11 @@ type Platform struct {
 	// per-platform (never shared across runs) so published hit/miss
 	// counters stay deterministic for a given scenario and seed.
 	ncCache *netcalc.Cache
+	// dramReq is the WCD DRAM service curve (in requests) every audited
+	// app's bound composes; it takes no platform input, so EnableAudit
+	// derives it once. dramReqErr is its derivation error.
+	dramReq    netcalc.Curve
+	dramReqErr error
 }
 
 // New assembles a platform on a fresh engine.
@@ -420,6 +427,7 @@ func New(cfg Config) (*Platform, error) {
 		ch.ni, _ = mesh.NI(node)
 		p.chans = append(p.chans, ch)
 	}
+	p.homed = make([]int, len(p.chans))
 	if !p.distributed {
 		p.mem = p.chans[0].ctrl
 	}

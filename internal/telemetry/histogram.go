@@ -43,13 +43,21 @@ const (
 	MaxQuantileRelativeError = 1.0 / subBuckets
 )
 
-// Histogram is a fixed-bucket log-scale histogram with O(1) Record and
-// O(numBuckets) quantile queries. Negative values are clamped to zero.
-// The zero value is NOT ready to use; call NewHistogram. All methods
-// are safe for concurrent use and no-ops on a nil receiver.
+// numBlocks is the number of octave blocks: the exact block plus one
+// per power-of-two range, subBuckets counters each.
+const numBlocks = numBuckets / subBuckets
+
+// Histogram is a fixed-geometry log-scale histogram with O(1) Record
+// and O(touched buckets) quantile queries. Negative values are clamped
+// to zero. Counters live in per-octave blocks of subBuckets uint64s
+// (256 B) allocated the first time a value lands in that octave, so an
+// empty histogram is ~0.55 KB and one that has seen k octaves adds
+// k*256 B; Reset keeps the blocks. The zero value is ready to use, and
+// NewHistogram returns a pointer to one. All methods are safe for
+// concurrent use and no-ops on a nil receiver.
 type Histogram struct {
 	mu     sync.Mutex
-	counts [numBuckets]uint64
+	blocks [numBlocks]*[subBuckets]uint64
 	count  uint64
 	sum    int64
 	min    int64
@@ -91,7 +99,20 @@ func (h *Histogram) Record(v int64) {
 		v = 0
 	}
 	h.mu.Lock()
-	h.counts[bucketOf(uint64(v))]++
+	h.recordLocked(v)
+	h.mu.Unlock()
+}
+
+// recordLocked adds one non-negative observation, allocating the
+// value's octave block on first use. Caller holds h.mu.
+func (h *Histogram) recordLocked(v int64) {
+	idx := bucketOf(uint64(v))
+	blk := h.blocks[idx/subBuckets]
+	if blk == nil {
+		blk = new([subBuckets]uint64)
+		h.blocks[idx/subBuckets] = blk
+	}
+	blk[idx%subBuckets]++
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -100,7 +121,6 @@ func (h *Histogram) Record(v int64) {
 	}
 	h.count++
 	h.sum += v
-	h.mu.Unlock()
 }
 
 // Count returns the number of recorded observations.
@@ -168,33 +188,40 @@ func (h *Histogram) Quantile(p float64) int64 {
 	if h == nil {
 		return 0
 	}
+	var q [1]int64
 	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.quantilesLocked([]float64{p}, q[:])
+	h.mu.Unlock()
+	return q[0]
+}
+
+// quantilesLocked sets out[i] to the ps[i]-quantile (see Quantile) in
+// one walk over the allocated blocks; ps must be ascending. Caller
+// holds h.mu.
+func (h *Histogram) quantilesLocked(ps []float64, out []int64) {
 	if h.count == 0 {
-		return 0
+		clear(out)
+		return
 	}
-	if p <= 0 {
-		return h.min
+	i := 0
+	for ; i < len(ps) && ps[i] <= 0; i++ {
+		out[i] = h.min
 	}
-	if p >= 1 {
-		return h.max
-	}
-	target := uint64(p * float64(h.count-1))
 	var cum uint64
-	for i := 0; i < numBuckets; i++ {
-		cum += h.counts[i]
-		if cum > target {
-			v := bucketUpper(i)
-			if v > h.max {
-				v = h.max
+	for b, blk := range h.blocks {
+		if blk == nil {
+			continue
+		}
+		for off, c := range blk {
+			cum += c
+			for ; i < len(ps) && ps[i] < 1 && cum > uint64(ps[i]*float64(h.count-1)); i++ {
+				out[i] = max(min(bucketUpper(b*subBuckets+off), h.max), h.min)
 			}
-			if v < h.min {
-				v = h.min
-			}
-			return v
 		}
 	}
-	return h.max
+	for ; i < len(ps); i++ {
+		out[i] = h.max
+	}
 }
 
 // Reset clears all recorded observations (and any held exemplar).
@@ -203,7 +230,11 @@ func (h *Histogram) Reset() {
 		return
 	}
 	h.mu.Lock()
-	h.counts = [numBuckets]uint64{}
+	for _, blk := range h.blocks {
+		if blk != nil {
+			*blk = [subBuckets]uint64{}
+		}
+	}
 	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
 	h.ex = Exemplar{}
 	h.mu.Unlock()
@@ -244,15 +275,7 @@ func (h *Histogram) RecordExemplar(v int64, traceID string, atUnixNano int64) {
 		v = 0
 	}
 	h.mu.Lock()
-	h.counts[bucketOf(uint64(v))]++
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
+	h.recordLocked(v)
 	if h.ex.TraceID == "" || v >= h.ex.Value || atUnixNano-h.ex.AtUnixNano > exemplarMaxAgeNS {
 		h.ex = Exemplar{TraceID: traceID, Value: v, AtUnixNano: atUnixNano}
 	}
@@ -282,19 +305,20 @@ type Summary struct {
 	P99   int64   `json:"p99"`
 }
 
-// Summarize digests the histogram.
+// Summarize digests the histogram under one lock and one bucket walk,
+// so the fields describe a single moment even while another goroutine
+// records; on a quiescent histogram they equal the separate accessors.
 func (h *Histogram) Summarize() Summary {
 	if h == nil {
 		return Summary{}
 	}
-	return Summary{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		Min:   h.Min(),
-		Max:   h.Max(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
+	var q [3]int64
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.quantilesLocked([]float64{0.50, 0.95, 0.99}, q[:])
+	s := Summary{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, P50: q[0], P95: q[1], P99: q[2]}
+	if h.count > 0 {
+		s.Mean = float64(h.sum) / float64(h.count)
 	}
+	return s
 }

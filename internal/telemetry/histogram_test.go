@@ -1,9 +1,12 @@
 package telemetry
 
 import (
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -216,5 +219,186 @@ func TestBucketRoundTrip(t *testing.T) {
 			t.Fatalf("bucketOf(%d)=%d not monotone (prev %d)", v, idx, prev)
 		}
 		prev = idx
+	}
+}
+
+// TestHistogramFootprint pins the sparse layout: an empty histogram is
+// its block pointers plus a few words, not a dense bucket array.
+func TestHistogramFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(Histogram{}); size > 1024 {
+		t.Errorf("unsafe.Sizeof(Histogram{}) = %d B, want <= 1024", size)
+	}
+}
+
+// denseHistogram is the dense-array layout the sparse blocks replace,
+// kept as the reference the equivalence test compares against.
+type denseHistogram struct {
+	counts          [numBuckets]uint64
+	count           uint64
+	sum, minV, maxV int64
+}
+
+func (d *denseHistogram) record(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	d.counts[bucketOf(uint64(v))]++
+	if d.count == 0 || v < d.minV {
+		d.minV = v
+	}
+	if d.count == 0 || v > d.maxV {
+		d.maxV = v
+	}
+	d.count++
+	d.sum += v
+}
+
+func (d *denseHistogram) quantile(p float64) int64 {
+	if d.count == 0 {
+		return 0
+	}
+	if p <= 0 {
+		return d.minV
+	}
+	if p >= 1 {
+		return d.maxV
+	}
+	target := uint64(p * float64(d.count-1))
+	var cum uint64
+	for i := 0; i < numBuckets; i++ {
+		cum += d.counts[i]
+		if cum > target {
+			v := bucketUpper(i)
+			if v > d.maxV {
+				v = d.maxV
+			}
+			if v < d.minV {
+				v = d.minV
+			}
+			return v
+		}
+	}
+	return d.maxV
+}
+
+func (d *denseHistogram) summary() Summary {
+	s := Summary{Count: d.count, Sum: d.sum, Min: d.minV, Max: d.maxV,
+		P50: d.quantile(0.50), P95: d.quantile(0.95), P99: d.quantile(0.99)}
+	if d.count > 0 {
+		s.Mean = float64(d.sum) / float64(d.count)
+	}
+	return s
+}
+
+// TestHistogramMatchesDenseReference records fixed-seed samples from
+// every octave, including the block edges and math.MaxInt64, and
+// requires the sparse histogram to answer exactly like the dense
+// reference, before and after Reset.
+func TestHistogramMatchesDenseReference(t *testing.T) {
+	samples := []int64{-7, 0, 1, 31, 32, 33, math.MaxInt64}
+	for e := 1; e < 63; e++ {
+		samples = append(samples, 1<<e-1, 1<<e, 1<<e+1)
+	}
+	rnd := sim.NewRand(17)
+	for e := 0; e < 63; e++ {
+		for i := 0; i < 40; i++ {
+			samples = append(samples, 1<<e+rnd.Int63n(1<<e))
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		samples = append(samples, int64(rnd.Intn(1<<uint(1+rnd.Intn(30)))))
+	}
+	for i := len(samples) - 1; i > 0; i-- {
+		j := rnd.Intn(i + 1)
+		samples[i], samples[j] = samples[j], samples[i]
+	}
+
+	grid := []float64{-1, 0, 1e-6, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 0.999999, 1, 2}
+	check := func(stage string, h *Histogram, d *denseHistogram) {
+		t.Helper()
+		if h.Count() != d.count || h.Sum() != d.sum || h.Min() != d.minV || h.Max() != d.maxV {
+			t.Fatalf("%s: count/sum/min/max = %d/%d/%d/%d, want %d/%d/%d/%d", stage,
+				h.Count(), h.Sum(), h.Min(), h.Max(), d.count, d.sum, d.minV, d.maxV)
+		}
+		for _, p := range grid {
+			if got, want := h.Quantile(p), d.quantile(p); got != want {
+				t.Fatalf("%s: Quantile(%g) = %d, want %d", stage, p, got, want)
+			}
+		}
+		if got, want := h.Summarize(), d.summary(); got != want {
+			t.Fatalf("%s: Summarize = %+v, want %+v", stage, got, want)
+		}
+	}
+
+	h, d := NewHistogram(), &denseHistogram{}
+	check("empty", h, d)
+	for i, v := range samples {
+		h.Record(v)
+		d.record(v)
+		if i%97 == 0 {
+			check("prefix", h, d)
+		}
+	}
+	check("all", h, d)
+
+	h.Reset()
+	d = &denseHistogram{}
+	check("reset", h, d)
+	for _, v := range samples[:len(samples)/3] {
+		h.Record(v)
+		d.record(v)
+	}
+	check("after reset", h, d)
+}
+
+// TestHistogramRecordAllocs: recording into an octave whose block
+// exists allocates nothing, and Reset keeps the blocks.
+func TestHistogramRecordAllocs(t *testing.T) {
+	var h Histogram // the zero value is ready to use
+	h.Record(1000)
+	h.Record(5)
+	rec := func() {
+		h.Record(1000)
+		h.Record(5)
+	}
+	if a := testing.AllocsPerRun(100, rec); a != 0 {
+		t.Errorf("Record into touched octaves: %v allocs/run, want 0", a)
+	}
+	h.Reset()
+	if a := testing.AllocsPerRun(100, rec); a != 0 {
+		t.Errorf("Record after Reset: %v allocs/run, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { h.Summarize() }); a != 0 {
+		t.Errorf("Summarize: %v allocs/run, want 0", a)
+	}
+}
+
+// TestHistogramSummarizeNotTorn runs Summarize against a concurrent
+// writer of a constant value: every digest must describe one moment,
+// so Sum is exactly v*Count and the quantiles are ordered within
+// [Min, Max].
+func TestHistogramSummarizeNotTorn(t *testing.T) {
+	const v = 1234
+	h := NewHistogram()
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			h.Record(v)
+		}
+	}()
+	defer func() {
+		stop.Store(true)
+		<-done
+	}()
+	for i := 0; i < 20000; i++ {
+		s := h.Summarize()
+		if s.Sum != v*int64(s.Count) {
+			t.Fatalf("torn summary: Sum %d != %d * Count %d", s.Sum, v, s.Count)
+		}
+		if s.Count > 0 && !(s.Min <= s.P50 && s.P50 <= s.P95 && s.P95 <= s.P99 && s.P99 <= s.Max) {
+			t.Fatalf("unordered summary: %+v", s)
+		}
 	}
 }
