@@ -8,11 +8,11 @@
 // Usage:
 //
 //	admissionsim [-apps 8] [-total 1.6] [-crit 2] [-critrate 0.4] [-us 200]
-//	             [-metrics file.json] [-trace file.json]
+//	             [-metrics file.om] [-trace file.json]
 //
 // -metrics and -trace instrument the non-symmetric (second) policy
-// run with the unified telemetry layer: the metrics file carries
-// protocol counters and per-flow PMU monitor readings, the trace file
+// run with the unified telemetry layer: the metrics file (OpenMetrics
+// text) carries protocol counters and per-flow PMU monitor readings, the trace file
 // is a Chrome trace_event timeline with admission mode-change spans,
 // rejection instants, and per-flow NoC delivery spans. "-" writes to
 // stdout.
@@ -35,7 +35,7 @@ func main() {
 	critN := flag.Int("crit", 2, "number of critical applications (non-symmetric policy)")
 	critRate := flag.Float64("critrate", 0.4, "guaranteed critical rate (bytes/ns)")
 	usec := flag.Int("us", 200, "microseconds between activations")
-	metricsPath := flag.String("metrics", "", "write telemetry metrics JSON for the non-symmetric run (\"-\" for stdout)")
+	metricsPath := flag.String("metrics", "", "write telemetry metrics as OpenMetrics text for the non-symmetric run (\"-\" for stdout)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON timeline for the non-symmetric run (\"-\" for stdout)")
 	flag.Parse()
 

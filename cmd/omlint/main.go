@@ -7,13 +7,14 @@
 //
 // Checks: every line is a well-formed comment (# TYPE/# HELP/# UNIT),
 // the # EOF terminator, or a sample line `name{labels} value [ts]`
-// with a legal metric name and a parseable value; TYPE declarations
+// that telemetry.ParseSample accepts (a legal metric name, a closed
+// label block, a parseable value and timestamp); TYPE declarations
 // precede their samples and are not duplicated; the exposition is
 // terminated by exactly one # EOF with nothing after it.
 //
 // Sample lines may carry an OpenMetrics exemplar clause
-// (` # {labels} value [timestamp]`) after the value; the clause is
-// split off before the sample is validated.
+// (` # {labels} value [timestamp]`) after the value; the parser
+// splits it off before the sample is validated.
 //
 // -strict additionally enforces exposition hygiene suitable for
 // third-party scrapers: every sample must belong to a family with a
@@ -22,7 +23,8 @@
 // in full — legal label names, double-quoted values, and only the
 // spec's escapes (\\, \", \n) inside them — and exemplar clauses are
 // validated: a well-formed labelset within the spec's 128-character
-// cap, a parseable value, and a parseable timestamp when present.
+// cap, a parseable value, and a parseable timestamp when present
+// (telemetry.ValidateLabels and telemetry.ValidateExemplar).
 package main
 
 import (
@@ -31,17 +33,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
-	"strconv"
 	"strings"
 
 	"repro/internal/telemetry"
-)
-
-var (
-	nameRe      = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	labelNameRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
-	valueRe     = regexp.MustCompile(`^\s+(\S+)(\s+\S+)?$`)
 )
 
 var validTypes = map[string]bool{
@@ -89,7 +83,7 @@ func lint(src string, r io.Reader, strict bool) []string {
 				continue
 			}
 			name, typ := fields[2], fields[3]
-			if !nameRe.MatchString(name) {
+			if !telemetry.ValidMetricName(name) {
 				fail(n, "illegal metric family name %q", name)
 			}
 			if !validTypes[typ] {
@@ -112,32 +106,22 @@ func lint(src string, r io.Reader, strict bool) []string {
 		case strings.TrimSpace(line) == "":
 			fail(n, "blank line not allowed in exposition")
 		default:
-			// The exemplar clause (` # {labels} value [ts]`) starts
-			// past the sample's quote-aware label block, so a ` # `
-			// inside a label value cannot be mistaken for it.
-			name, labels, rest, ok := telemetry.SplitSample(line)
-			exemplar := ""
-			if i := strings.Index(rest, " # {"); i >= 0 {
-				rest, exemplar = rest[:i], rest[i+3:]
-			}
-			value := valueRe.FindStringSubmatch(rest)
-			if !ok || !nameRe.MatchString(name) || value == nil {
-				fail(n, "malformed sample line %q", line)
+			sample, err := telemetry.ParseSample(line)
+			if err != nil {
+				fail(n, "%v", err)
 				continue
-			}
-			if !parseableValue(value[1]) {
-				fail(n, "unparseable sample value %q", value[1])
 			}
 			if !strict {
 				continue
 			}
-			if exemplar != "" {
-				if err := lintExemplar(exemplar); err != nil {
+			name := sample.Name
+			if sample.Exemplar != "" {
+				if err := telemetry.ValidateExemplar(sample.Exemplar); err != nil {
 					fail(n, "sample %q exemplar: %v", name, err)
 				}
 			}
-			if labels != "" {
-				if err := lintLabels(labels); err != nil {
+			if sample.Labels != "" {
+				if err := telemetry.ValidateLabels(sample.Labels); err != nil {
 					fail(n, "sample %q: %v", name, err)
 				}
 			}
@@ -178,109 +162,6 @@ func familyOf(name string, types map[string]string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// lintLabels validates a brace-delimited label set: legal label
-// names, double-quoted values, and only the escapes the spec allows
-// inside them (\\, \", \n).
-func lintLabels(block string) error {
-	s := block[1 : len(block)-1] // the splitter guarantees the braces
-	for s != "" {
-		eq := strings.Index(s, "=")
-		if eq < 0 {
-			return fmt.Errorf("label %q missing '='", s)
-		}
-		name := s[:eq]
-		if !labelNameRe.MatchString(name) {
-			return fmt.Errorf("illegal label name %q", name)
-		}
-		s = s[eq+1:]
-		if s == "" || s[0] != '"' {
-			return fmt.Errorf("label %q value is not double-quoted", name)
-		}
-		i, closed := 1, false
-		for i < len(s) {
-			switch s[i] {
-			case '\\':
-				if i+1 >= len(s) {
-					return fmt.Errorf("label %q value ends in a dangling escape", name)
-				}
-				switch s[i+1] {
-				case '\\', '"', 'n':
-					i += 2
-				default:
-					return fmt.Errorf("label %q value has illegal escape \\%c", name, s[i+1])
-				}
-			case '"':
-				closed = true
-				i++
-			default:
-				i++
-			}
-			if closed {
-				break
-			}
-		}
-		if !closed {
-			return fmt.Errorf("label %q value has no closing quote", name)
-		}
-		s = s[i:]
-		if s == "" {
-			return nil
-		}
-		if s[0] != ',' {
-			return fmt.Errorf("unexpected %q after label %q", s, name)
-		}
-		s = s[1:]
-		if s == "" {
-			return fmt.Errorf("trailing ',' in label set")
-		}
-	}
-	return nil
-}
-
-// lintExemplar validates an exemplar clause `{labels} value
-// [timestamp]`: the labelset parses like any other (and stays within
-// the spec's 128-character cap, measured over the block's interior),
-// the value is a legal sample value, and the timestamp — when present
-// — parses as seconds.
-func lintExemplar(ex string) error {
-	end := telemetry.LabelBlockEnd(ex)
-	if end < 0 {
-		return fmt.Errorf("labelset %q not closed", ex)
-	}
-	if err := lintLabels(ex[:end]); err != nil {
-		return err
-	}
-	if n := end - 2; n > 128 {
-		return fmt.Errorf("labelset is %d chars, spec cap 128", n)
-	}
-	fields := strings.Fields(ex[end:])
-	switch len(fields) {
-	case 1, 2:
-	default:
-		return fmt.Errorf("%q: want value [timestamp] after labelset", ex)
-	}
-	if !parseableValue(fields[0]) {
-		return fmt.Errorf("unparseable value %q", fields[0])
-	}
-	if len(fields) == 2 {
-		if _, err := strconv.ParseFloat(fields[1], 64); err != nil {
-			return fmt.Errorf("unparseable timestamp %q", fields[1])
-		}
-	}
-	return nil
-}
-
-// parseableValue accepts OpenMetrics sample values: floats plus the
-// spec's special forms.
-func parseableValue(s string) bool {
-	switch s {
-	case "+Inf", "-Inf", "NaN":
-		return true
-	}
-	_, err := strconv.ParseFloat(s, 64)
-	return err == nil
 }
 
 func main() {

@@ -25,9 +25,10 @@
 // children) → encode spans, and served live as Chrome trace-event
 // JSON on /v1/traces. The default 0 keeps the hot path span-free.
 // -trace-ring bounds the in-memory span ring behind /v1/traces, and
-// -trace additionally streams every sampled span to FILE as a Chrome
-// trace on shutdown — loadable in Perfetto next to the simulator's
-// virtual-time traces.
+// -trace writes that ring to FILE at drain: the same document
+// /v1/traces serves (the last -trace-ring spans, with spans_total and
+// dropped counting what the ring overwrote), loadable in Perfetto next
+// to the simulator's virtual-time traces.
 //
 // -decision-delay injects an artificial per-decision sleep in the
 // shard loops — an overload drill knob that lets load tests saturate
@@ -41,6 +42,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -74,7 +76,7 @@ func run() error {
 		decisionDelay = flag.Duration("decision-delay", 0, "artificial per-decision delay (overload drills only)")
 		traceSample   = flag.Float64("trace-sample", 0, "head-sampling probability for request traces (0 = off)")
 		traceRing     = flag.Int("trace-ring", 0, "completed spans retained for /v1/traces (0 = default 8192)")
-		traceFile     = flag.String("trace", "", "also write sampled spans as a Chrome trace to this file on exit")
+		traceFile     = flag.String("trace", "", "write the span ring (the /v1/traces document) to this file at drain")
 	)
 	flag.Parse()
 
@@ -86,15 +88,10 @@ func run() error {
 		DecisionDelay: *decisionDelay,
 	}, reg)
 
-	var chrome *telemetry.Tracer
-	if *traceFile != "" {
-		chrome = telemetry.NewWallTracer()
-	}
 	tracer := wtrace.New(wtrace.Config{
 		Sample:    *traceSample,
 		RingSpans: *traceRing,
 		Registry:  reg,
-		Chrome:    chrome,
 	})
 
 	srv, err := audit.NewServer(*listen)
@@ -148,7 +145,7 @@ func run() error {
 		st.Decisions, st.Batches, st.Throttled, st.Rejects, st.BreakerState, st.BreakerOpens)
 
 	if *traceFile != "" {
-		if err := writeChromeTrace(*traceFile, chrome, tracer); err != nil {
+		if err := writeTraceFile(*traceFile, tracer, reg); err != nil {
 			return fmt.Errorf("write trace: %w", err)
 		}
 	}
@@ -182,20 +179,16 @@ func publishOnce(srv *audit.Server, fleet *rmserver.Fleet, storeDir string, star
 	}
 }
 
-// writeChromeTrace dumps the wall-clock Chrome tracer to a file —
-// every span the wtrace tracer forwarded over the daemon's lifetime.
-func writeChromeTrace(path string, chrome *telemetry.Tracer, tracer *wtrace.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
+// writeTraceFile writes the span ring to a file and reports how many
+// sampled spans it holds and how many the ring overwrote.
+func writeTraceFile(path string, tracer *wtrace.Tracer, reg *telemetry.Registry) error {
+	if err := telemetry.WriteOutput(path, tracer.WriteTraceEvents); err != nil {
 		return err
 	}
-	werr := chrome.WriteJSON(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	fmt.Printf("rmd: wrote %d sampled spans to %s\n", tracer.SpansRecorded(), path)
-	return cerr
+	dropped := reg.Counter("wtrace_spans_dropped").Value()
+	fmt.Printf("rmd: wrote %d sampled spans to %s (%d dropped by the ring)\n",
+		tracer.SpansRecorded()-dropped, path, dropped)
+	return nil
 }
 
 // recordSession appends the daemon's lifetime record to the obs store.
@@ -205,12 +198,8 @@ func recordSession(dir string, reg *telemetry.Registry, st rmserver.Stats, up ti
 		return err
 	}
 	defer store.Close()
-	var buf []byte
-	{
-		var b sink
-		reg.WriteOpenMetrics(&b)
-		buf = b.data
-	}
+	var buf bytes.Buffer
+	reg.WriteOpenMetrics(&buf)
 	sec := up.Seconds()
 	if sec <= 0 {
 		sec = 1
@@ -227,14 +216,7 @@ func recordSession(dir string, reg *telemetry.Registry, st rmserver.Stats, up ti
 			"decision.p99_ns":   float64(st.DecisionP99),
 			"shards":            float64(st.Shards),
 		},
-		Metrics: string(buf),
+		Metrics: buf.String(),
 	})
 	return err
-}
-
-type sink struct{ data []byte }
-
-func (s *sink) Write(p []byte) (int, error) {
-	s.data = append(s.data, p...)
-	return len(p), nil
 }

@@ -10,7 +10,7 @@
 //	socsim [-hogs 6] [-ms 4] [-seed 100] [-dsu] [-memguard] [-shape]
 //	       [-mpam] [-all] [-workers N] [-parallel N]
 //	       [-mesh WxH] [-clusters N] [-channels N] [-apps-per-tile N]
-//	       [-metrics file.json] [-trace file.json]
+//	       [-metrics file.om] [-trace file.json]
 //	       [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // -all runs the full scenario matrix through the internal/sweep
@@ -41,10 +41,11 @@
 // kernel partitions.
 //
 // -metrics dumps the unified telemetry registry (counters, gauges,
-// latency histograms) as JSON; -trace records a Chrome trace_event
-// timeline (load it in Perfetto or chrome://tracing) with per-bank
-// DRAM service spans, per-flow NoC delivery spans, and MemGuard
-// stall/depletion events. "-" writes either to stdout. Both are
+// latency histograms) as OpenMetrics text, the encoding /metrics and
+// the results store use; -trace records a Chrome trace_event timeline
+// (load it in Perfetto or chrome://tracing) with per-bank DRAM service
+// spans, per-flow NoC delivery spans, and MemGuard stall/depletion
+// events. "-" writes either to stdout. Both are
 // deterministic: identical invocations produce byte-identical files.
 //
 // -cpuprofile and -memprofile record pprof profiles of the simulation
@@ -81,7 +82,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -134,8 +134,7 @@ func main() {
 	clustersFlag := flag.Int("clusters", 0, "scaled platform cluster count (0 = min(8, mesh width); selects the clustered scenario)")
 	channelsFlag := flag.Int("channels", 0, "scaled platform DRAM channel count (0 = one per cluster; selects the clustered scenario)")
 	appsPerTile := flag.Int("apps-per-tile", 0, "apps on every mesh tile in the scaled scenario (0 = 1; selects the clustered scenario)")
-	metricsPath := flag.String("metrics", "", "write telemetry metrics to this file (\"-\" for stdout)")
-	metricsFormat := flag.String("metrics-format", "json", "encoding for -metrics: json or openmetrics")
+	metricsPath := flag.String("metrics", "", "write telemetry metrics as OpenMetrics text to this file (\"-\" for stdout)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON timeline to this file (\"-\" for stdout)")
 	auditOn := flag.Bool("audit", false, "arm the runtime predictability auditor (online NC bound conformance + contention attribution)")
 	storeDir := flag.String("store", "", "append this run's record to the cross-run results store in this directory")
@@ -144,11 +143,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
-
-	format, err := telemetry.ParseMetricsFormat(*metricsFormat)
-	if err != nil {
-		fatal(err)
-	}
 
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -256,7 +250,7 @@ func main() {
 		if srv != nil {
 			publishLive(p, spec.Duration, srv)
 		}
-		if err := suite.DumpFilesFormat(*metricsPath, format, *tracePath); err != nil {
+		if err := suite.DumpFiles(*metricsPath, *tracePath); err != nil {
 			fatal(err)
 		}
 	}

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -33,7 +35,7 @@ func runInstrumented(t *testing.T) (metrics, traceJSON []byte) {
 	p.SnapshotMetrics()
 
 	var mbuf, tbuf bytes.Buffer
-	if err := suite.Registry.WriteJSON(&mbuf); err != nil {
+	if err := suite.Registry.WriteOpenMetrics(&mbuf); err != nil {
 		t.Fatal(err)
 	}
 	if err := suite.Tracer.WriteJSON(&tbuf); err != nil {
@@ -93,33 +95,30 @@ func TestPlatformTraceCoversSubsystems(t *testing.T) {
 
 func TestPlatformMetricsContent(t *testing.T) {
 	mj, _ := runInstrumented(t)
-	var out struct {
-		Counters   map[string]uint64             `json:"counters"`
-		Gauges     map[string]float64            `json:"gauges"`
-		Histograms map[string]map[string]float64 `json:"histograms"`
+	// Every sample line of the dump, keyed by name plus label block.
+	samples := make(map[string]float64)
+	for _, line := range strings.Split(strings.TrimSuffix(string(mj), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		s, err := telemetry.ParseSample(line)
+		if err != nil {
+			t.Fatalf("metrics dump line does not parse: %v", err)
+		}
+		samples[s.Name+s.Labels] = s.Value
 	}
-	if err := json.Unmarshal(mj, &out); err != nil {
-		t.Fatalf("metrics dump is not valid JSON: %v", err)
+	for _, counter := range []string{"sim_events_total", "dram_reads_total", "noc_delivered_total", "memguard_requests_total"} {
+		if samples[counter] == 0 {
+			t.Errorf("%s counter missing or zero", counter)
+		}
 	}
-	if out.Counters["sim.events"] == 0 {
-		t.Error("sim.events counter missing or zero")
-	}
-	if out.Counters["dram.reads"] == 0 {
-		t.Error("dram.reads counter missing or zero")
-	}
-	if out.Counters["noc.delivered"] == 0 {
-		t.Error("noc.delivered counter missing or zero")
-	}
-	if out.Counters["memguard.requests"] == 0 {
-		t.Error("memguard.requests counter missing or zero")
-	}
-	if _, ok := out.Histograms["app.crit.read_latency_ps"]; !ok {
+	if _, ok := samples["app_crit_read_latency_ps_count"]; !ok {
 		t.Error("app latency histogram not adopted into registry")
 	}
-	if _, ok := out.Gauges["monitor.mem:hog.total_bytes"]; !ok {
+	if _, ok := samples["monitor_mem_hog_total_bytes"]; !ok {
 		t.Error("memguard PMU monitor snapshot missing")
 	}
-	if _, ok := out.Gauges["monitor.noc:crit.total_bytes"]; !ok {
+	if _, ok := samples["monitor_noc_crit_total_bytes"]; !ok {
 		t.Error("noc PMU monitor snapshot missing")
 	}
 }

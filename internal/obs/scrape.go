@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -120,7 +119,10 @@ func (s *Scraper) Scrape() error {
 // Ingest parses one exposition payload and records every sample at the
 // given timestamp. Returns the number of samples recorded. Comment,
 // metadata, and unparsable lines are skipped — a scraper is a
-// consumer, not a linter (cmd/omlint is the linter).
+// consumer, not a linter (cmd/omlint is the linter). Sample lines are
+// read by telemetry.ParseSample, so a label block may hold spaces, '#'
+// and '}' inside quoted values, and a timestamp or exemplar clause
+// after the value is ignored.
 func (s *Scraper) Ingest(text []byte, atUnixMilli int64) int {
 	recorded := 0
 	s.mu.Lock()
@@ -133,37 +135,21 @@ func (s *Scraper) Ingest(text []byte, atUnixMilli int64) int {
 		} else {
 			line, rest = rest, ""
 		}
-		name, v, ok := parseSampleLine(line)
-		if !ok {
+		sample, err := telemetry.ParseSample(line)
+		if err != nil {
 			continue
 		}
+		name := sample.Name + sample.Labels
 		sr := s.series[name]
 		if sr == nil {
 			sr = &scrapeSeries{buf: make([]ScrapePoint, s.size)}
 			s.series[name] = sr
 		}
-		sr.push(ScrapePoint{UnixMilli: atUnixMilli, Value: v})
+		sr.push(ScrapePoint{UnixMilli: atUnixMilli, Value: sample.Value})
 		recorded++
 	}
 	s.scrapes++
 	return recorded
-}
-
-// parseSampleLine extracts (sample name with label block, value) from
-// one exposition line. The label block may contain spaces, '#' and '}'
-// inside quoted values, and the value may be followed by a timestamp
-// and/or an exemplar clause (` # {...} v ts`) — both ignored here.
-func parseSampleLine(line string) (string, float64, bool) {
-	name, labels, rest, ok := telemetry.SplitSample(line)
-	fields := strings.Fields(rest)
-	if !ok || line[0] == '#' || len(fields) == 0 {
-		return "", 0, false
-	}
-	v, err := strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return "", 0, false
-	}
-	return line[:len(name)+len(labels)], v, true
 }
 
 // Names returns every series name seen so far, sorted.

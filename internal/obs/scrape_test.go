@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
@@ -191,6 +190,7 @@ func TestLiveSLOValidate(t *testing.T) {
 }
 
 func TestParseSampleLineEdges(t *testing.T) {
+	s := NewScraper("http://unused", 4)
 	for _, line := range []string{
 		"",
 		"# TYPE x gauge",
@@ -199,19 +199,19 @@ func TestParseSampleLineEdges(t *testing.T) {
 		`unterminated{a="b 1`,
 		" 5",
 	} {
-		if name, v, ok := parseSampleLine(line); ok {
-			t.Errorf("parseSampleLine(%q) = %q, %v, true; want skip", line, name, v)
+		if n := s.Ingest([]byte(line), 1); n != 0 {
+			t.Errorf("Ingest(%q) recorded %d samples; want skip", line, n)
 		}
 	}
-	name, v, ok := parseSampleLine(`m{a="x\"y"} 3 1700000000`)
-	if !ok || name != `m{a="x\"y"}` || v != 3 {
-		t.Fatalf("escaped-quote line = %q, %v, %v", name, v, ok)
+	if n := s.Ingest([]byte(`m{a="x\"y"} 3 1700000000`+"\n"+`m{a="b}c",d="#"} 4 # {t="x}"} 1`), 2); n != 2 {
+		t.Fatalf("Ingest recorded %d samples, want 2", n)
 	}
-	if !strings.HasPrefix(name, "m{") {
-		t.Fatal("label block lost")
+	for name, want := range map[string]float64{`m{a="x\"y"}`: 3, `m{a="b}c",d="#"}`: 4} {
+		if p, ok := s.Latest(name); !ok || p.Value != want || p.UnixMilli != 2 {
+			t.Errorf("series %q latest = %+v, %v; want value %v", name, p, ok, want)
+		}
 	}
-	name, v, ok = parseSampleLine(`m{a="b}c",d="#"} 4 # {t="x}"} 1`)
-	if !ok || name != `m{a="b}c",d="#"}` || v != 4 {
-		t.Fatalf("brace-in-value line = %q, %v, %v", name, v, ok)
+	if names := s.Names(); len(names) != 2 {
+		t.Fatalf("series %v, want the two sample lines only", names)
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -120,12 +122,9 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		}
 	}
 	unlock()
-	for _, r := range recs {
-		if r.Seq >= s.next {
-			s.next = r.Seq
-		}
+	if s.next, err = nextSeq(recs); err != nil {
+		return nil, err
 	}
-	s.next++
 	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("obs: open store log: %w", err)
@@ -325,34 +324,53 @@ func (s *Store) reserveSeqLocked() (int64, error) {
 	switch {
 	case err == nil:
 		v, perr := strconv.ParseInt(string(bytes.TrimSpace(b)), 10, 64)
-		if perr != nil {
-			// Corrupt counter: rebuild it from the log (rare path).
+		if perr != nil || v == math.MaxInt64 {
+			// A counter that does not parse, or cannot advance past
+			// the number it hands out, is corrupt: rebuild it from the
+			// log (rare path).
 			recs, _, lerr := s.load()
 			if lerr != nil {
 				return 0, fmt.Errorf("obs: rebuild seq counter: %w", lerr)
 			}
-			v = 0
-			for _, r := range recs {
-				if r.Seq > v {
-					v = r.Seq
-				}
+			if v, err = nextSeq(recs); err != nil {
+				return 0, err
 			}
-			v++
 		}
-		if v > next {
-			next = v
-		}
+		next = max(next, v)
 	case os.IsNotExist(err):
 		// First writer since the counter existed: the handle's view
 		// (derived from the log at Open) is authoritative.
 	default:
 		return 0, fmt.Errorf("obs: read seq counter: %w", err)
 	}
+	if next == math.MaxInt64 {
+		// The counter stores next+1, which would wrap.
+		return 0, errSeqExhausted
+	}
 	if err := os.WriteFile(filepath.Join(s.dir, seqFile),
 		strconv.AppendInt(nil, next+1, 10), 0o644); err != nil {
 		return 0, fmt.Errorf("obs: advance seq counter: %w", err)
 	}
 	return next, nil
+}
+
+// errSeqExhausted reports a store whose sequence numbers have reached
+// MaxInt64: the next one would wrap negative and break the unique,
+// ordered Seqs that newest-run selection relies on.
+var errSeqExhausted = errors.New("obs: sequence numbers exhausted")
+
+// nextSeq returns the Seq that follows every record of the log (1 for
+// an empty one), or errSeqExhausted when a record already holds
+// MaxInt64.
+func nextSeq(recs []RunRecord) (int64, error) {
+	var last int64
+	for _, r := range recs {
+		last = max(last, r.Seq)
+	}
+	if last == math.MaxInt64 {
+		return 0, errSeqExhausted
+	}
+	return last + 1, nil
 }
 
 // tornTail describes a final line that does not end in a clean,

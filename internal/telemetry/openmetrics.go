@@ -100,10 +100,10 @@ func appendExemplar(b []byte, ex Exemplar) []byte {
 // TYPE/HELP once, one sample line per label set — and a histogram
 // holding an exemplar renders it on its p99 quantile line. Families
 // are sorted by metric name and members by label block, so identical
-// registries serialize byte-identically — the same property WriteJSON
-// guarantees; label-free registries render exactly as before the
-// labeled convention existed. The stream ends with the mandatory
-// `# EOF` marker.
+// registries serialize byte-identically; label-free registries render
+// exactly as before the labeled convention existed. The stream ends
+// with the mandatory `# EOF` marker. This is the registry's only dump:
+// the mean of a histogram is its _sum over its _count.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	if r == nil {
 		_, err := io.WriteString(w, "# EOF\n")
@@ -303,50 +303,10 @@ func appendFamilyType(b []byte, name, kind string) []byte {
 }
 
 func sortedKeys[V any](m map[string]V) []string {
-	ks := keysOf(m)
+	ks := make([]string, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
 	sort.Strings(ks)
 	return ks
-}
-
-// SplitSample splits an exposition sample line `name{labels} rest`
-// into the metric name, its label block (braces included; "" when
-// absent) and the rest of the line. ok is false when no name precedes
-// a '{' or a blank, or when the block never closes.
-func SplitSample(line string) (name, labels, rest string, ok bool) {
-	i := strings.IndexAny(line, "{ \t")
-	if i <= 0 {
-		return "", "", "", false
-	}
-	name, rest = line[:i], line[i:]
-	if rest[0] == '{' {
-		end := LabelBlockEnd(rest)
-		if end < 0 {
-			return "", "", "", false
-		}
-		labels, rest = rest[:end], rest[end:]
-	}
-	return name, labels, rest, true
-}
-
-// LabelBlockEnd returns the index just past the '}' closing the label
-// block that opens s, skipping '}', '#' and blanks inside quoted values
-// (a backslash escapes the next byte). Unbalanced quotes fall back to
-// the first '}', so a linter can still name the bad value; -1 means no
-// '}' at all.
-func LabelBlockEnd(s string) int {
-	inQuote := false
-	for i := 1; i < len(s); i++ {
-		switch {
-		case inQuote && s[i] == '\\':
-			i++
-		case s[i] == '"':
-			inQuote = !inQuote
-		case !inQuote && s[i] == '}':
-			return i + 1
-		}
-	}
-	if i := strings.IndexByte(s, '}'); i >= 0 {
-		return i + 1
-	}
-	return -1
 }

@@ -230,9 +230,9 @@ func TestSplitSample(t *testing.T) {
 		{" 5", "", "", "", false},
 		{"", "", "", "", false},
 	} {
-		name, labels, rest, ok := SplitSample(c.line)
+		name, labels, rest, ok := splitSample(c.line)
 		if name != c.name || labels != c.labels || rest != c.rest || ok != c.ok {
-			t.Errorf("SplitSample(%q) = %q, %q, %q, %v; want %q, %q, %q, %v",
+			t.Errorf("splitSample(%q) = %q, %q, %q, %v; want %q, %q, %q, %v",
 				c.line, name, labels, rest, ok, c.name, c.labels, c.rest, c.ok)
 		}
 	}

@@ -40,55 +40,16 @@ func writeOutput(path string, write func(io.Writer) error, create func(string) (
 	return f.Close()
 }
 
-// MetricsFormat names a registry dump encoding for Suite.DumpFiles and
-// the CLIs' -metrics-format flag.
-type MetricsFormat string
-
-// Supported metrics encodings.
-const (
-	// FormatJSON is the registry's native sorted-JSON dump.
-	FormatJSON MetricsFormat = "json"
-	// FormatOpenMetrics is OpenMetrics/Prometheus text exposition.
-	FormatOpenMetrics MetricsFormat = "openmetrics"
-)
-
-// ParseMetricsFormat validates a -metrics-format flag value; the empty
-// string defaults to JSON.
-func ParseMetricsFormat(s string) (MetricsFormat, error) {
-	switch MetricsFormat(s) {
-	case "", FormatJSON:
-		return FormatJSON, nil
-	case FormatOpenMetrics:
-		return FormatOpenMetrics, nil
-	}
-	return "", fmt.Errorf("telemetry: unknown metrics format %q (want json or openmetrics)", s)
-}
-
-// writeMetrics dispatches a registry dump in the given format.
-func (s *Suite) writeMetrics(w io.Writer, format MetricsFormat) error {
-	if format == FormatOpenMetrics {
-		return s.registry().WriteOpenMetrics(w)
-	}
-	return s.registry().WriteJSON(w)
-}
-
-// DumpFiles writes the suite's metrics and/or trace to the given paths
-// ("-" for stdout, "" to skip), the shape every command-line tool
-// needs after a run. Every requested dump is attempted even when an
-// earlier one fails — a bad metrics path must not silently skip the
-// trace file — and the returned error (via errors.Join) identifies
-// each dump that failed.
+// DumpFiles writes the suite's metrics (OpenMetrics text) and/or trace
+// (Chrome trace_event JSON) to the given paths ("-" for stdout, "" to
+// skip), the shape every command-line tool needs after a run. Every
+// requested dump is attempted even when an earlier one fails — a bad
+// metrics path must not silently skip the trace file — and the
+// returned error (via errors.Join) identifies each dump that failed.
 func (s *Suite) DumpFiles(metricsPath, tracePath string) error {
-	return s.DumpFilesFormat(metricsPath, FormatJSON, tracePath)
-}
-
-// DumpFilesFormat is DumpFiles with an explicit metrics encoding.
-func (s *Suite) DumpFilesFormat(metricsPath string, format MetricsFormat, tracePath string) error {
 	var errs []error
 	if metricsPath != "" {
-		if err := WriteOutput(metricsPath, func(w io.Writer) error {
-			return s.writeMetrics(w, format)
-		}); err != nil {
+		if err := WriteOutput(metricsPath, s.registry().WriteOpenMetrics); err != nil {
 			errs = append(errs, fmt.Errorf("metrics %s: %w", metricsPath, err))
 		}
 	}

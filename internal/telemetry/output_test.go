@@ -104,7 +104,7 @@ func TestWriteOutputPartialWriteClosesAndReportsWriteError(t *testing.T) {
 func TestDumpFilesAttemptsAllAfterFailure(t *testing.T) {
 	s := NewSuite(true, 0)
 	dir := t.TempDir()
-	badMetrics := filepath.Join(dir, "missing-dir", "m.json")
+	badMetrics := filepath.Join(dir, "missing-dir", "m.om")
 	tracePath := filepath.Join(dir, "t.json")
 	err := s.DumpFiles(badMetrics, tracePath)
 	if err == nil {
@@ -122,7 +122,7 @@ func TestDumpFilesAttemptsAllAfterFailure(t *testing.T) {
 func TestDumpFilesJoinsAllFailures(t *testing.T) {
 	s := NewSuite(true, 0)
 	dir := t.TempDir()
-	badM := filepath.Join(dir, "no-such", "m.json")
+	badM := filepath.Join(dir, "no-such", "m.om")
 	badT := filepath.Join(dir, "no-such", "t.json")
 	err := s.DumpFiles(badM, badT)
 	if err == nil {
@@ -139,7 +139,7 @@ func TestDumpFilesFormatOpenMetrics(t *testing.T) {
 	s := NewSuite(false, 0)
 	s.Registry.Counter("a.b").Inc()
 	path := filepath.Join(t.TempDir(), "m.om")
-	if err := s.DumpFilesFormat(path, FormatOpenMetrics, ""); err != nil {
+	if err := s.DumpFiles(path, ""); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -151,25 +151,13 @@ func TestDumpFilesFormatOpenMetrics(t *testing.T) {
 	}
 }
 
-func TestParseMetricsFormat(t *testing.T) {
-	for in, want := range map[string]MetricsFormat{"": FormatJSON, "json": FormatJSON, "openmetrics": FormatOpenMetrics} {
-		got, err := ParseMetricsFormat(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseMetricsFormat(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseMetricsFormat("xml"); err == nil {
-		t.Fatal("expected error for unknown format")
-	}
-}
-
 func TestDumpFilesNilAndEmpty(t *testing.T) {
 	s := NewSuite(true, 0)
 	dir := t.TempDir()
 	if err := s.DumpFiles("", ""); err != nil {
 		t.Fatalf("empty paths: %v", err)
 	}
-	m := filepath.Join(dir, "m.json")
+	m := filepath.Join(dir, "m.om")
 	tr := filepath.Join(dir, "t.json")
 	if err := s.DumpFiles(m, tr); err != nil {
 		t.Fatal(err)

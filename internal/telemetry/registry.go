@@ -17,10 +17,7 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -195,95 +192,6 @@ func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 	r.mu.Unlock()
 }
 
-// WriteJSON serializes the registry, sorted by instrument name so the
-// output is byte-identical across identical runs.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		_, err := io.WriteString(w, "{}\n")
-		return err
-	}
-	r.mu.Lock()
-	counters := make(map[string]uint64, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v.Value()
-	}
-	gauges := make(map[string]float64, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v.Value()
-	}
-	hists := make(map[string]Summary, len(r.histograms))
-	histNames := make([]string, 0, len(r.histograms))
-	for k := range r.histograms {
-		histNames = append(histNames, k)
-	}
-	// Summaries take the histogram locks; release the registry lock
-	// ordering concern by snapshotting the map first.
-	histRefs := make(map[string]*Histogram, len(r.histograms))
-	for k, v := range r.histograms {
-		histRefs[k] = v
-	}
-	r.mu.Unlock()
-	for _, k := range histNames {
-		hists[k] = histRefs[k].Summarize()
-	}
-
-	var b []byte
-	b = append(b, "{\n  \"counters\": {"...)
-	b = appendSorted(b, keysOf(counters), func(b []byte, k string) []byte {
-		b = appendKey(b, k)
-		return strconv.AppendUint(b, counters[k], 10)
-	})
-	b = append(b, "},\n  \"gauges\": {"...)
-	b = appendSorted(b, keysOf(gauges), func(b []byte, k string) []byte {
-		b = appendKey(b, k)
-		return appendFloat(b, gauges[k])
-	})
-	b = append(b, "},\n  \"histograms\": {"...)
-	b = appendSorted(b, histNames, func(b []byte, k string) []byte {
-		b = appendKey(b, k)
-		return appendSummary(b, hists[k])
-	})
-	b = append(b, "}\n}\n"...)
-	_, err := w.Write(b)
-	return err
-}
-
-func keysOf[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-func appendSorted(b []byte, keys []string, one func([]byte, string) []byte) []byte {
-	sort.Strings(keys)
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, "\n    "...)
-		b = one(b, k)
-	}
-	if len(keys) > 0 {
-		b = append(b, "\n  "...)
-	}
-	return b
-}
-
-func appendKey(b []byte, k string) []byte {
-	b = strconv.AppendQuote(b, k)
-	return append(b, ": "...)
-}
-
 func appendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-func appendSummary(b []byte, s Summary) []byte {
-	b = append(b, fmt.Sprintf(`{"count": %d, "sum": %d, "min": %d, "max": %d, "mean": `,
-		s.Count, s.Sum, s.Min, s.Max)...)
-	b = appendFloat(b, s.Mean)
-	b = append(b, fmt.Sprintf(`, "p50": %d, "p95": %d, "p99": %d}`, s.P50, s.P95, s.P99)...)
-	return b
 }

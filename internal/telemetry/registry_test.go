@@ -2,7 +2,7 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -33,16 +33,33 @@ func TestRegistryNilSafe(t *testing.T) {
 	r.Histogram("x").Record(1)
 	r.RegisterHistogram("x", NewHistogram())
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.WriteOpenMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var out map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("nil registry dump invalid JSON: %v", err)
+	if got := buf.String(); got != "# EOF\n" {
+		t.Fatalf("nil registry dump = %q, want just the EOF marker", got)
 	}
 }
 
-func TestRegistryJSONDeterministicAndValid(t *testing.T) {
+// parseDump reads every sample of an OpenMetrics dump through
+// ParseSample, keyed by name plus label block.
+func parseDump(t *testing.T, dump []byte) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64)
+	for _, line := range strings.Split(strings.TrimSuffix(string(dump), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		s, err := ParseSample(line)
+		if err != nil {
+			t.Fatalf("dump line does not parse: %v", err)
+		}
+		out[s.Name+s.Labels] = s.Value
+	}
+	return out
+}
+
+func TestRegistryDumpDeterministicAndParses(t *testing.T) {
 	build := func() []byte {
 		r := NewRegistry()
 		// Insertion order deliberately unsorted.
@@ -54,7 +71,7 @@ func TestRegistryJSONDeterministicAndValid(t *testing.T) {
 			h.Record(i * 1000)
 		}
 		var buf bytes.Buffer
-		if err := r.WriteJSON(&buf); err != nil {
+		if err := r.WriteOpenMetrics(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -63,26 +80,25 @@ func TestRegistryJSONDeterministicAndValid(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Error("identical registries serialize differently")
 	}
-	var out struct {
-		Counters   map[string]uint64  `json:"counters"`
-		Gauges     map[string]float64 `json:"gauges"`
-		Histograms map[string]Summary `json:"histograms"`
+	out := parseDump(t, b1)
+	if out["a_first_total"] != 2 || out["z_last_total"] != 1 {
+		t.Errorf("counters: %v", out)
 	}
-	if err := json.Unmarshal(b1, &out); err != nil {
-		t.Fatalf("dump is not valid JSON: %v\n%s", err, b1)
+	if out["m_middle"] != 3.25 {
+		t.Errorf("gauge m_middle = %v", out["m_middle"])
 	}
-	if out.Counters["a.first"] != 2 || out.Counters["z.last"] != 1 {
-		t.Errorf("counters = %v", out.Counters)
+	// The summary carries count, sum, min, max and the quantiles; the
+	// mean is sum/count.
+	count, sum := out["lat_count"], out["lat_sum"]
+	if count != 100 || out["lat_max"] != 100_000 || out["lat_min"] != 1000 {
+		t.Errorf("histogram: count %v min %v max %v", count, out["lat_min"], out["lat_max"])
 	}
-	if out.Gauges["m.middle"] != 3.25 {
-		t.Errorf("gauges = %v", out.Gauges)
+	if mean := sum / count; mean != 50_500 {
+		t.Errorf("histogram mean sum/count = %v, want 50500", mean)
 	}
-	h := out.Histograms["lat"]
-	if h.Count != 100 || h.Max != 100_000 || h.Min != 1000 {
-		t.Errorf("histogram summary = %+v", h)
-	}
-	if h.P50 < h.Min || h.P95 > h.Max || h.P50 > h.P95 {
-		t.Errorf("summary quantiles out of order: %+v", h)
+	p50, p95 := out[`lat{quantile="0.5"}`], out[`lat{quantile="0.95"}`]
+	if p50 < out["lat_min"] || p95 > out["lat_max"] || p50 > p95 {
+		t.Errorf("summary quantiles out of order: p50 %v p95 %v", p50, p95)
 	}
 }
 

@@ -51,12 +51,6 @@ func (s *Suite) monitors() *MonitorSet {
 	return s.Monitors
 }
 
-// WriteMetricsFile dumps the registry as JSON to path ("-" writes to
-// stdout).
-func (s *Suite) WriteMetricsFile(path string) error {
-	return WriteOutput(path, s.registry().WriteJSON)
-}
-
 // WriteTraceFile dumps the trace as Chrome trace_event JSON to path
 // ("-" writes to stdout).
 func (s *Suite) WriteTraceFile(path string) error {

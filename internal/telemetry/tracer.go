@@ -4,7 +4,6 @@ import (
 	"io"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -25,11 +24,6 @@ type Tracer struct {
 	tracks map[string]int
 	order  []string
 	events []traceEvent
-
-	// wallEpochNS is non-zero only for wall-clock tracers (see
-	// NewWallTracer): WallSpan timestamps are recorded relative to it.
-	// Zero for sim-time tracers, whose serialization is unaffected.
-	wallEpochNS int64
 }
 
 // event phases, straight from the trace_event format spec.
@@ -54,54 +48,6 @@ type traceEvent struct {
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer {
 	return &Tracer{tracks: make(map[string]int)}
-}
-
-// NewWallTracer returns a tracer in wall-clock track mode: spans are
-// recorded via WallSpan with Unix-nanosecond timestamps, stored
-// relative to the tracer's construction instant. Storing epoch-
-// relative keeps the picosecond representation in range (absolute
-// UnixNano x 1000 would overflow int64) and makes the dump start near
-// ts=0, which is where trace viewers open. The serialization format is
-// the same Chrome trace_event JSON as sim-time tracers; one trace
-// microsecond is one wall microsecond.
-func NewWallTracer() *Tracer {
-	return NewWallTracerAt(time.Now().UnixNano())
-}
-
-// NewWallTracerAt is NewWallTracer with an explicit epoch (tests).
-func NewWallTracerAt(epochNS int64) *Tracer {
-	t := NewTracer()
-	t.wallEpochNS = epochNS
-	return t
-}
-
-// WallEpochNS returns the wall-clock epoch, or 0 for sim-time tracers.
-func (t *Tracer) WallEpochNS() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.wallEpochNS
-}
-
-// wallTime converts a Unix-nanosecond wall timestamp to the tracer's
-// internal timebase (picoseconds since the wall epoch). Instants
-// before the epoch clamp to 0.
-func (t *Tracer) wallTime(ns int64) sim.Time {
-	d := ns - t.wallEpochNS
-	if d < 0 {
-		d = 0
-	}
-	return sim.Time(d * 1000)
-}
-
-// WallSpan records a complete [startNS, endNS] wall-clock interval
-// (Unix nanoseconds) on a track of a wall-clock tracer. Optional kv
-// args attach to the event like Span's.
-func (t *Tracer) WallSpan(track, name string, startNS, endNS int64, kv ...string) {
-	if t == nil {
-		return
-	}
-	t.Span(track, name, t.wallTime(startNS), t.wallTime(endNS), kv...)
 }
 
 // track returns the tid for a named track, creating it on first use.

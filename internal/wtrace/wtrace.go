@@ -31,6 +31,7 @@ package wtrace
 import (
 	"encoding/hex"
 	"fmt"
+	"io"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -135,11 +136,6 @@ type Config struct {
 	// Registry receives the tracer's own counters (wtrace_requests,
 	// wtrace_spans, wtrace_spans_dropped). Nil disables them.
 	Registry *telemetry.Registry
-	// Chrome, when non-nil, receives every recorded span as a
-	// wall-clock trace_event on a per-trace lane track — the file-dump
-	// export (rmd -trace). It must have been built by
-	// telemetry.NewWallTracer.
-	Chrome *telemetry.Tracer
 	// Now overrides the wall clock (tests); defaults to time.Now.
 	Now func() time.Time
 	// Seed seeds the id generator; 0 derives a seed from the clock.
@@ -155,7 +151,6 @@ type Tracer struct {
 	epochNS   int64  // trace_event timestamps are relative to this
 	now       func() time.Time
 	ring      *ring
-	chrome    *telemetry.Tracer
 	seed      uint64
 	seq       atomic.Uint64
 
@@ -182,7 +177,6 @@ func New(cfg Config) *Tracer {
 		epochNS: cfg.Now().UnixNano(),
 		now:     cfg.Now,
 		ring:    newRing(cfg.RingSpans),
-		chrome:  cfg.Chrome,
 		seed:    cfg.Seed,
 
 		requests: cfg.Registry.Counter("wtrace_requests"),
@@ -281,22 +275,11 @@ func (t *Tracer) StartRequest(traceparent string) *ReqTrace {
 	return r
 }
 
-// record pushes one completed span into the ring and the Chrome
-// export.
+// record pushes one completed span into the ring.
 func (t *Tracer) record(s Span) {
 	t.spans.Inc()
 	if t.ring.push(s) {
 		t.dropped.Inc()
-	}
-	if t.chrome != nil {
-		lane := laneName(s.TraceID)
-		kv := make([]string, 0, 6+len(s.Attrs))
-		kv = append(kv, "trace_id", s.TraceID.String(), "span_id", s.SpanID.String())
-		if !s.Parent.IsZero() {
-			kv = append(kv, "parent_id", s.Parent.String())
-		}
-		kv = append(kv, s.Attrs...)
-		t.chrome.WallSpan(lane, s.Name, s.StartNS, s.EndNS, kv...)
 	}
 }
 
@@ -308,11 +291,10 @@ const lanes = 8
 
 func laneOf(tid TraceID) int { return int(tid[15]) % lanes }
 
-func laneName(tid TraceID) string { return fmt.Sprintf("wtrace.lane%d", laneOf(tid)) }
-
 // WriteTraceEvents serializes the ring's current contents as Chrome
-// trace_event JSON (see ring.go) — the /v1/traces payload.
-func (t *Tracer) WriteTraceEvents(w interface{ Write([]byte) (int, error) }) error {
+// trace_event JSON (see ring.go) — the /v1/traces payload, and the
+// file rmd -trace writes at drain.
+func (t *Tracer) WriteTraceEvents(w io.Writer) error {
 	if t == nil {
 		_, err := w.Write([]byte(`{"traceEvents":[],"displayTimeUnit":"ns","spans":0,"spans_total":0,"dropped":0}` + "\n"))
 		return err

@@ -141,8 +141,7 @@ func TestNilReqTraceNoOps(t *testing.T) {
 
 func TestSpanCountersAndChromeExport(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	chrome := telemetry.NewWallTracerAt(1e9)
-	tr := New(Config{Sample: 1, Seed: 3, Registry: reg, Chrome: chrome, Now: fixedClock(1e9, 10)})
+	tr := New(Config{Sample: 1, Seed: 3, Registry: reg, Now: fixedClock(1e9, 10)})
 	rt := tr.StartRequest("")
 	start := rt.StartNS()
 	child := rt.Span(rt.Root(), "parse", start, start+500, "bytes", "128")
@@ -154,21 +153,37 @@ func TestSpanCountersAndChromeExport(t *testing.T) {
 	if got := reg.Counter("wtrace_spans").Value(); got != 3 {
 		t.Fatalf("wtrace_spans = %d, want 3", got)
 	}
-	if chrome.Events() != 3 {
-		t.Fatalf("chrome events = %d, want 3", chrome.Events())
-	}
+	// The Chrome export is the ring's document: one complete event per
+	// span, on its trace's lane, with identity and attributes in args.
 	var sb strings.Builder
-	if err := chrome.WriteJSON(&sb); err != nil {
+	if err := tr.WriteTraceEvents(&sb); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			Tid  int               `json:"tid"`
+			Dur  float64           `json:"dur"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
 		t.Fatalf("chrome export is not valid trace_event JSON: %v", err)
 	}
-	if !strings.Contains(sb.String(), `"trace_id"`) {
-		t.Fatal("chrome export missing trace_id args")
+	spans := map[string]map[string]string{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		if ev.Tid != laneOf(rt.traceID)+1 || ev.Args["trace_id"] != rt.TraceID() || ev.Args["span_id"] == "" {
+			t.Fatalf("span %q: tid %d, args %v", ev.Name, ev.Tid, ev.Args)
+		}
+		spans[ev.Name] = ev.Args
+	}
+	if len(spans) != 3 || spans["parse"]["bytes"] != "128" || spans["request"]["status"] != "200" ||
+		spans["decode"]["parent_id"] != spans["parse"]["span_id"] {
+		t.Fatalf("chrome export spans = %v", spans)
 	}
 }
 
