@@ -114,8 +114,8 @@ func TestIngestBenchParallelSeries(t *testing.T) {
 	// The series flatten by their partitions discriminator, never by
 	// array index, so the metric names survive reordering or extending
 	// the series. parallel.bigmesh is the clustered-platform scaling
-	// series (p0 = the sequential engine), the one the scale-smoke CI
-	// job gates on.
+	// series (p0 = the sequential engine), the one CI's
+	// committed-trajectory gate judges at p8.
 	for metric, want := range map[string]float64{
 		"parallel.gomaxprocs":                 4,
 		"parallel.series.events_per_sec_p1":   15.7e6,
@@ -139,7 +139,7 @@ func TestIngestBenchParallelSeries(t *testing.T) {
 }
 
 func TestSentinelParallelScalingRegression(t *testing.T) {
-	// The bench-smoke gate's parallel-scaling shape: a drop confined to
+	// The parallel-scaling shape of a kernel record: a drop confined to
 	// the 4-partition series point must still trip the sentinel, which
 	// requires the flattener to name the point stably and the direction
 	// heuristics to read events_per_sec_p4 as higher-better.
@@ -169,9 +169,10 @@ func TestSentinelParallelScalingRegression(t *testing.T) {
 }
 
 func TestSentinelBigMeshScalingRegression(t *testing.T) {
-	// The scale-smoke gate's shape: a collapse confined to the big-mesh
+	// The big-mesh gate's shape: a collapse confined to the big-mesh
 	// 8-partition point must trip the sentinel under -only
-	// parallel.bigmesh.events_per_sec_p8, the metric that CI job names.
+	// parallel.bigmesh.events_per_sec_p8, the metric CI's
+	// committed-trajectory step names.
 	dir := t.TempDir()
 	store := filepath.Join(dir, "store")
 	good := benchFileParallel(t, dir, "good.json", 19.1e6, 7.5e6)

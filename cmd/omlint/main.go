@@ -1,9 +1,9 @@
 // Command omlint is a minimal OpenMetrics text-exposition linter: it
 // reads an exposition from stdin (or the files named as arguments)
 // and exits non-zero with a diagnostic if the syntax is malformed.
-// The CI live-endpoint smoke job pipes `curl /metrics` through it to
-// prove the exporter emits parseable OpenMetrics, with no external
-// Prometheus tooling in the container.
+// CI's process smoke pipes `curl /metrics` of a live socsim and rmd
+// through it to prove the exporters emit parseable OpenMetrics, with
+// no external Prometheus tooling.
 //
 // Checks: every line is a well-formed comment (# TYPE/# HELP/# UNIT),
 // the # EOF terminator, or a sample line `name{labels} value [ts]`
@@ -25,6 +25,9 @@
 // validated: a well-formed labelset within the spec's 128-character
 // cap, a parseable value, and a parseable timestamp when present
 // (telemetry.ValidateLabels and telemetry.ValidateExemplar).
+// A sample name that renders under two families (a gauge "x_total"
+// beside a counter "x", say) is flagged too: a scraper cannot tell
+// which family such a sample belongs to.
 package main
 
 import (
@@ -62,6 +65,8 @@ func lint(src string, r io.Reader, strict bool) []string {
 	types := make(map[string]string)
 	helps := make(map[string]bool)
 	reported := make(map[string]bool) // families already flagged for missing metadata
+	owner := make(map[string]string)  // sample name -> the family it rendered under
+	current := ""                     // family of the latest TYPE line
 	sawEOF := false
 	n := 0
 	sc := bufio.NewScanner(r)
@@ -93,6 +98,7 @@ func lint(src string, r io.Reader, strict bool) []string {
 				fail(n, "duplicate TYPE for family %q", name)
 			}
 			types[name] = typ
+			current = name
 		case strings.HasPrefix(line, "# HELP "):
 			if fields := strings.Fields(line); len(fields) >= 3 {
 				helps[fields[2]] = true
@@ -125,7 +131,7 @@ func lint(src string, r io.Reader, strict bool) []string {
 					fail(n, "sample %q: %v", name, err)
 				}
 			}
-			family, ok := familyOf(name, types)
+			family, ok := familyOf(name, current, types)
 			if !ok {
 				if !reported[name] {
 					fail(n, "sample %q has no TYPE declaration", name)
@@ -133,6 +139,10 @@ func lint(src string, r io.Reader, strict bool) []string {
 				}
 				continue
 			}
+			if prev, seen := owner[name]; seen && prev != family {
+				fail(n, "sample %q renders under two families, %q and %q", name, prev, family)
+			}
+			owner[name] = family
 			if !helps[family] && !reported[family] {
 				fail(n, "family %q has no HELP declaration", family)
 				reported[family] = true
@@ -149,19 +159,24 @@ func lint(src string, r io.Reader, strict bool) []string {
 }
 
 // familyOf resolves a sample name to its declared family: the name
-// itself, or the name with one standard suffix stripped.
-func familyOf(name string, types map[string]string) (string, bool) {
-	if _, ok := types[name]; ok {
-		return name, true
-	}
-	for _, suf := range familySuffixes {
-		if base := strings.TrimSuffix(name, suf); base != name && base != "" {
-			if _, ok := types[base]; ok {
-				return base, true
-			}
+// itself, or the name with one standard suffix stripped. A family's
+// samples follow its TYPE line, so the current family wins over
+// another declared family the name could also derive from.
+func familyOf(name, current string, types map[string]string) (string, bool) {
+	found := ""
+	for _, suf := range append([]string{""}, familySuffixes...) {
+		base := strings.TrimSuffix(name, suf)
+		if base == "" || (suf != "" && base == name) {
+			continue // empty, or name lacks this suffix
+		}
+		if base == current {
+			return current, true
+		}
+		if _, ok := types[base]; ok && found == "" {
+			found = base
 		}
 	}
-	return "", false
+	return found, found != ""
 }
 
 func main() {

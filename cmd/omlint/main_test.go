@@ -65,7 +65,7 @@ func TestLintBaseSyntaxErrors(t *testing.T) {
 
 func TestLintDefaultModeToleratesMissingMetadata(t *testing.T) {
 	// The repo's own renderer emits TYPE but no HELP; default mode
-	// (what the live-endpoint smoke job runs) must keep accepting it.
+	// (what CI's socsim scrape runs) must keep accepting it.
 	wantClean(t, lintStr("# TYPE x gauge\nx 1\n# EOF\n", false))
 	// Even a bare sample with no TYPE is syntax-valid.
 	wantClean(t, lintStr("x 1\n# EOF\n", false))
@@ -101,6 +101,30 @@ h_sum 0.5
 # EOF
 `
 	wantClean(t, lintStr(src, true))
+}
+
+func TestLintStrictFlagsSampleNameUnderTwoFamilies(t *testing.T) {
+	// A gauge "noc.delivered_total" beside a counter "noc.delivered":
+	// both render the sample noc_delivered_total.
+	reg := telemetry.NewRegistry()
+	reg.Counter("noc.delivered").Add(7)
+	reg.Gauge("noc.delivered_total").Set(7)
+	reg.SetHelp("noc.delivered", "Packets delivered.")
+	reg.SetHelp("noc.delivered_total", "Packets delivered, as a gauge.")
+	var buf bytes.Buffer
+	if err := reg.WriteOpenMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	errs := lint("registry", strings.NewReader(buf.String()), true)
+	wantError(t, errs, `sample "noc_delivered_total" renders under two families`)
+	if len(errs) != 1 {
+		t.Fatalf("want only the two-family finding, got %v\n%s", errs, buf.String())
+	}
+	// Default mode still accepts it: the simulator's dumps carry the
+	// collision and are linted without -strict.
+	wantClean(t, lint("registry", strings.NewReader(buf.String()), false))
+	// Repeating a sample name inside one family (label sets) is fine.
+	wantClean(t, lintStr("# HELP x x\n# TYPE x gauge\nx{a=\"1\"} 1\nx{a=\"2\"} 2\n# EOF\n", true))
 }
 
 func TestLintStrictLabelEscaping(t *testing.T) {
@@ -186,7 +210,7 @@ func TestLintExemplarOnRegistryOutput(t *testing.T) {
 
 func TestLintRegistryOutputStaysDefaultClean(t *testing.T) {
 	// End-to-end guard: whatever the repo's own registry renders must
-	// keep passing the default lint the CI smoke job applies.
+	// keep passing the default lint CI's socsim scrape applies.
 	reg := telemetry.NewRegistry()
 	reg.Counter("dram.reads").Add(42)
 	reg.Gauge("audit.crit.bound_ns").Set(1210)

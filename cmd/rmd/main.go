@@ -10,8 +10,7 @@
 //
 //	rmd [-listen 127.0.0.1:9092] [-shards 4] [-queue 64]
 //	    [-maxbatch 8192] [-publish 1s] [-store DIR]
-//	    [-decision-delay 0] [-trace-sample 0] [-trace-ring 8192]
-//	    [-trace FILE]
+//	    [-trace-sample 0] [-trace-ring 8192] [-trace FILE]
 //
 // -store appends a KindService session record (decision counts,
 // latency quantiles, throttle/breaker totals) to the cross-run obs
@@ -29,11 +28,6 @@
 // /v1/traces serves (the last -trace-ring spans, with spans_total and
 // dropped counting what the ring overwrote), loadable in Perfetto next
 // to the simulator's virtual-time traces.
-//
-// -decision-delay injects an artificial per-decision sleep in the
-// shard loops — an overload drill knob that lets load tests saturate
-// the bounded queues deterministically on any machine. Leave zero in
-// real deployments.
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: the listener stops
 // accepting, in-flight requests complete, every enqueued batch is
@@ -67,25 +61,23 @@ func main() {
 
 func run() error {
 	var (
-		listen        = flag.String("listen", "127.0.0.1:9092", "listen address for the API and observability endpoints")
-		shards        = flag.Int("shards", 4, "number of RM shard loops")
-		queue         = flag.Int("queue", 64, "per-shard pending-batch queue depth")
-		maxBatch      = flag.Int("maxbatch", 8192, "max operations per batch request")
-		publish       = flag.Duration("publish", time.Second, "metrics/SLO publish interval")
-		storeDir      = flag.String("store", "", "obs store directory (session record on exit, /slo history)")
-		decisionDelay = flag.Duration("decision-delay", 0, "artificial per-decision delay (overload drills only)")
-		traceSample   = flag.Float64("trace-sample", 0, "head-sampling probability for request traces (0 = off)")
-		traceRing     = flag.Int("trace-ring", 0, "completed spans retained for /v1/traces (0 = default 8192)")
-		traceFile     = flag.String("trace", "", "write the span ring (the /v1/traces document) to this file at drain")
+		listen      = flag.String("listen", "127.0.0.1:9092", "listen address for the API and observability endpoints")
+		shards      = flag.Int("shards", 4, "number of RM shard loops")
+		queue       = flag.Int("queue", 64, "per-shard pending-batch queue depth")
+		maxBatch    = flag.Int("maxbatch", 8192, "max operations per batch request")
+		publish     = flag.Duration("publish", time.Second, "metrics/SLO publish interval")
+		storeDir    = flag.String("store", "", "obs store directory (session record on exit, /slo history)")
+		traceSample = flag.Float64("trace-sample", 0, "head-sampling probability for request traces (0 = off)")
+		traceRing   = flag.Int("trace-ring", 0, "completed spans retained for /v1/traces (0 = default 8192)")
+		traceFile   = flag.String("trace", "", "write the span ring (the /v1/traces document) to this file at drain")
 	)
 	flag.Parse()
 
 	reg := telemetry.NewRegistry()
 	fleet := rmserver.New(rmserver.Config{
-		Shards:        *shards,
-		QueueDepth:    *queue,
-		MaxBatch:      *maxBatch,
-		DecisionDelay: *decisionDelay,
+		Shards:     *shards,
+		QueueDepth: *queue,
+		MaxBatch:   *maxBatch,
 	}, reg)
 
 	tracer := wtrace.New(wtrace.Config{

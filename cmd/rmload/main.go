@@ -1,14 +1,13 @@
 // Command rmload drives an rmd instance with a synthetic admission
-// workload and judges the outcome. It is the service plane's load
-// harness: the soak profile measures the steady-state path (paced
-// batches, availability and latency under normal load), the spike
-// profile deliberately overruns the service (unpaced batches on many
-// connections) to prove backpressure engages — 429s with Retry-After
-// and, under sustained overload, the circuit breaker opening.
+// workload and judges the outcome. It is the service plane's soak
+// harness: paced batches measure the steady-state path (availability
+// and latency under normal load). The overload path (429s with
+// Retry-After, the circuit breaker opening) is exercised in-process by
+// internal/rmserver's TestHTTPOverloadBackpressure.
 //
 // Usage:
 //
-//	rmload -addr 127.0.0.1:9092 [-profile soak|spike] [-duration 5s]
+//	rmload -addr 127.0.0.1:9092 [-duration 5s]
 //	       [-batch 512] [-conns 2] [-platforms 32] [-interval 5ms]
 //	       [-store DIR] [-strict] [-traceparent HDR]
 //
@@ -22,7 +21,7 @@
 // them again, so platform state stays bounded while every operation
 // exercises the full analytic admission path.
 //
-// -store appends a KindService record labeled "rmload/<profile>" —
+// -store appends a KindService record labeled "rmload/soak" —
 // decisions/sec, availability, client and server latency quantiles,
 // throttle and breaker counts, plus the server's full OpenMetrics
 // snapshot — to the cross-run obs store, where obs.ServiceSLOs and
@@ -68,27 +67,16 @@ type result struct {
 func run() error {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:9092", "rmd address")
-		profile   = flag.String("profile", "soak", "load profile: soak (paced) or spike (unpaced overload)")
 		duration  = flag.Duration("duration", 5*time.Second, "how long to drive load")
 		batch     = flag.Int("batch", 512, "operations per batch request (register+withdraw pairs)")
 		conns     = flag.Int("conns", 2, "concurrent sender connections")
 		platforms = flag.Int("platforms", 32, "distinct platforms in the workload")
-		interval  = flag.Duration("interval", 5*time.Millisecond, "pacing between batches per connection (soak only)")
+		interval  = flag.Duration("interval", 5*time.Millisecond, "pacing between batches per connection")
 		storeDir  = flag.String("store", "", "obs store directory to append the run record to")
 		strict    = flag.Bool("strict", false, "evaluate obs.ServiceSLOs over the store and fail if unmet")
 		tracepar  = flag.String("traceparent", "", "W3C traceparent header to attach to every batch request")
 	)
 	flag.Parse()
-
-	switch *profile {
-	case "soak", "spike":
-	default:
-		return fmt.Errorf("unknown profile %q", *profile)
-	}
-	pace := *interval
-	if *profile == "spike" {
-		pace = 0
-	}
 
 	base := "http://" + *addr
 	client := &http.Client{Timeout: 30 * time.Second}
@@ -107,7 +95,7 @@ func run() error {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			r := sender(client, base, c, *batch, *platforms, pace, deadline, lat, *tracepar)
+			r := sender(client, base, c, *batch, *platforms, *interval, deadline, lat, *tracepar)
 			mu.Lock()
 			total.requests += r.requests
 			total.ok += r.ok
@@ -135,8 +123,8 @@ func run() error {
 	}
 	perSec := float64(decisions) / elapsed.Seconds()
 
-	fmt.Printf("rmload: profile=%s %d reqs (%d ok, %d throttled, %d errors) in %.2fs\n",
-		*profile, total.requests, total.ok, total.throttled, total.errors, elapsed.Seconds())
+	fmt.Printf("rmload: %d reqs (%d ok, %d throttled, %d errors) in %.2fs\n",
+		total.requests, total.ok, total.throttled, total.errors, elapsed.Seconds())
 	fmt.Printf("rmload: %d decisions (%.0f/sec), %d ops shed, availability %.4f\n",
 		decisions, perSec, total.shed, availability)
 	fmt.Printf("rmload: client batch p50/p99 %s/%s, server decision p50/p99 %dns/%dns\n",
@@ -149,7 +137,7 @@ func run() error {
 	}
 
 	if *storeDir != "" {
-		if err := record(*storeDir, client, base, *profile, flagsFP(*profile, *batch, *conns, *platforms, pace),
+		if err := record(*storeDir, client, base, flagsFP(*batch, *conns, *platforms, *interval),
 			decisions, perSec, availability, lat, stats, total); err != nil {
 			return fmt.Errorf("record run: %w", err)
 		}
@@ -273,9 +261,11 @@ func decodeJSON(r io.Reader, v any) error {
 	return json.Unmarshal(b, v)
 }
 
-func flagsFP(profile string, batch, conns, platforms int, pace time.Duration) string {
+// flagsFP fingerprints the load shape. The fixed "profile" entry keeps
+// the fingerprint equal to that of the soak records already in stores.
+func flagsFP(batch, conns, platforms int, pace time.Duration) string {
 	return obs.FingerprintConfig(map[string]string{
-		"profile":   profile,
+		"profile":   "soak",
 		"batch":     strconv.Itoa(batch),
 		"conns":     strconv.Itoa(conns),
 		"platforms": strconv.Itoa(platforms),
@@ -285,7 +275,7 @@ func flagsFP(profile string, batch, conns, platforms int, pace time.Duration) st
 
 // record appends the run's evidence — including the server's live
 // OpenMetrics snapshot — to the obs store.
-func record(dir string, client *http.Client, base, profile, fp string,
+func record(dir string, client *http.Client, base, fp string,
 	decisions uint64, perSec, availability float64,
 	lat *telemetry.Histogram, stats rmserver.Stats, total result) error {
 	var metrics string
@@ -304,7 +294,7 @@ func record(dir string, client *http.Client, base, profile, fp string,
 	}
 	_, err = store.Append(obs.RunRecord{
 		Kind:     obs.KindService,
-		Label:    "rmload/" + profile,
+		Label:    "rmload/soak",
 		ConfigFP: fp,
 		Values: map[string]float64{
 			"decisions":         float64(decisions),

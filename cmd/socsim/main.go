@@ -58,7 +58,7 @@
 // starts the live export endpoint (/metrics in OpenMetrics text,
 // /healthz, /progress, /debug/pprof/*) for scraping the run in
 // flight; -linger keeps it serving after the run until SIGINT, so
-// external scrapers (or the CI smoke job) can probe a finished run.
+// external scrapers (or CI's process smoke) can probe a finished run.
 // -store appends the run's record — headline latencies, audit
 // conformance, config fingerprint, and the full OpenMetrics snapshot
 // — to the cross-run results store in that directory, where obsq can
@@ -71,10 +71,11 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
+	"strconv"
 	"syscall"
 
 	"repro/internal/audit"
@@ -82,111 +83,90 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
-// startProfiles begins CPU profiling and arms the heap-profile dump;
-// the returned stop must run before exit (deferred in main).
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "socsim: %v\n", err)
+		os.Exit(1)
 	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "socsim: -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize up-to-date allocation stats
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "socsim: -memprofile: %v\n", err)
-			}
-		}
-	}, nil
 }
 
-func main() {
-	hogs := flag.Int("hogs", 6, "number of best-effort aggressor apps")
-	msec := flag.Int("ms", 4, "simulated milliseconds per scenario")
-	seed := flag.Uint64("seed", 100, "seed for the hogs' random address streams")
-	useDSU := flag.Bool("dsu", false, "partition the L3 with a DSU CLUSTERPARTCR")
-	useMG := flag.Bool("memguard", false, "give each hog a MemGuard budget")
-	useShape := flag.Bool("shape", false, "install NI token-bucket shapers on hog nodes")
-	useMPAM := flag.Bool("mpam", false, "regulate the memory channel with MPAM min/max bandwidth")
-	all := flag.Bool("all", false, "run the full scenario matrix")
-	workers := flag.Int("workers", 0, "parallel workers for -all (0 = GOMAXPROCS)")
-	parallelN := flag.Int("parallel", 0, "run the event kernel with N conservative-lookahead partitions (output is byte-identical to sequential for every N; 0 = sequential engine)")
-	meshFlag := flag.String("mesh", "", "scaled platform mesh as WxH (e.g. 16x16) or W for square; selects the clustered scenario")
-	clustersFlag := flag.Int("clusters", 0, "scaled platform cluster count (0 = min(8, mesh width); selects the clustered scenario)")
-	channelsFlag := flag.Int("channels", 0, "scaled platform DRAM channel count (0 = one per cluster; selects the clustered scenario)")
-	appsPerTile := flag.Int("apps-per-tile", 0, "apps on every mesh tile in the scaled scenario (0 = 1; selects the clustered scenario)")
-	metricsPath := flag.String("metrics", "", "write telemetry metrics as OpenMetrics text to this file (\"-\" for stdout)")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON timeline to this file (\"-\" for stdout)")
-	auditOn := flag.Bool("audit", false, "arm the runtime predictability auditor (online NC bound conformance + contention attribution)")
-	storeDir := flag.String("store", "", "append this run's record to the cross-run results store in this directory")
-	listen := flag.String("listen", "", "serve live OpenMetrics /metrics, /healthz, /progress and pprof on this address (e.g. :9091; off by default)")
-	linger := flag.Bool("linger", false, "with -listen, keep serving after the run until SIGINT/SIGTERM")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	flag.Parse()
+// run is the whole command with its arguments and output streams
+// passed in; errors return through it so the deferred profile flush
+// runs on every path.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("socsim", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	hogs := fs.Int("hogs", 6, "number of best-effort aggressor apps")
+	msec := fs.Float64("ms", 4, "simulated milliseconds per scenario (fractions allowed, e.g. 0.05)")
+	seed := fs.Uint64("seed", 100, "seed for the hogs' random address streams")
+	useDSU := fs.Bool("dsu", false, "partition the L3 with a DSU CLUSTERPARTCR")
+	useMG := fs.Bool("memguard", false, "give each hog a MemGuard budget")
+	useShape := fs.Bool("shape", false, "install NI token-bucket shapers on hog nodes")
+	useMPAM := fs.Bool("mpam", false, "regulate the memory channel with MPAM min/max bandwidth")
+	all := fs.Bool("all", false, "run the full scenario matrix")
+	workers := fs.Int("workers", 0, "parallel workers for -all (0 = GOMAXPROCS)")
+	parallelN := fs.Int("parallel", 0, "run the event kernel with N conservative-lookahead partitions (output is byte-identical to sequential for every N; 0 = sequential engine)")
+	meshFlag := fs.String("mesh", "", "scaled platform mesh as WxH (e.g. 16x16) or W for square; selects the clustered scenario")
+	clustersFlag := fs.Int("clusters", 0, "scaled platform cluster count (0 = min(8, mesh width); selects the clustered scenario)")
+	channelsFlag := fs.Int("channels", 0, "scaled platform DRAM channel count (0 = one per cluster; selects the clustered scenario)")
+	appsPerTile := fs.Int("apps-per-tile", 0, "apps on every mesh tile in the scaled scenario (0 = 1; selects the clustered scenario)")
+	metricsPath := fs.String("metrics", "", "write telemetry metrics as OpenMetrics text to this file (\"-\" for stdout)")
+	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON timeline to this file (\"-\" for stdout)")
+	auditOn := fs.Bool("audit", false, "arm the runtime predictability auditor (online NC bound conformance + contention attribution)")
+	storeDir := fs.String("store", "", "append this run's record to the cross-run results store in this directory")
+	listen := fs.String("listen", "", "serve live OpenMetrics /metrics, /healthz, /progress and pprof on this address (e.g. :9091; off by default)")
+	linger := fs.Bool("linger", false, "with -listen, keep serving after the run until SIGINT/SIGTERM")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	fs.Parse(args) // ExitOnError: exits 2 on a bad flag, 0 on -h
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := telemetry.StartProfiles("socsim", *cpuProfile, *memProfile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProfiles()
 
 	meshW, meshH, err := parseMesh(*meshFlag)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	scaled := meshW != 0 || *clustersFlag != 0 || *channelsFlag != 0 || *appsPerTile != 0
 
 	if *all && (*metricsPath != "" || *tracePath != "" || *auditOn || *listen != "" || *storeDir != "") {
-		fatal(fmt.Errorf("-metrics/-trace/-audit/-listen/-store apply to a single scenario; drop -all (cmd/sweep has the matrix equivalents)"))
+		return fmt.Errorf("-metrics/-trace/-audit/-listen/-store apply to a single scenario; drop -all (cmd/sweep has the matrix equivalents)")
 	}
 	if *all && scaled {
-		fatal(fmt.Errorf("-mesh/-clusters/-channels/-apps-per-tile configure a single scaled scenario; drop -all"))
+		return fmt.Errorf("-mesh/-clusters/-channels/-apps-per-tile configure a single scaled scenario; drop -all")
 	}
 	if *parallelN < 0 {
-		fatal(fmt.Errorf("-parallel must be >= 0, got %d", *parallelN))
+		return fmt.Errorf("-parallel must be >= 0, got %d", *parallelN)
 	}
 	if *all && *parallelN > 0 {
 		// The sweep already parallelizes at run granularity (one whole
 		// scenario per worker); kernel partitions inside each run would
 		// oversubscribe the cores for no wall-clock gain.
-		fatal(fmt.Errorf("-parallel applies to a single scenario; -all parallelizes across scenarios via -workers instead"))
+		return fmt.Errorf("-parallel applies to a single scenario; -all parallelizes across scenarios via -workers instead")
 	}
 
-	horizon := sim.Duration(*msec) * sim.Millisecond
+	horizon := sim.Duration(math.Round(*msec * float64(sim.Millisecond)))
 	if *all {
 		specs := sweep.ScenarioMatrix(*hogs, horizon, []uint64{*seed})
 		results := sweep.Run(specs, *workers, nil)
-		fmt.Println("scenario                         mean(ns)   p95(ns)    max(ns)   DRAM row-hit")
+		fmt.Fprintln(stdout, "scenario                         mean(ns)   p95(ns)    max(ns)   DRAM row-hit")
 		for _, r := range results {
 			if r.Failed() {
-				fmt.Printf("%-32s FAILED: %s\n", r.Spec.Label, r.Err)
+				fmt.Fprintf(stdout, "%-32s FAILED: %s\n", r.Spec.Label, r.Err)
 				continue
 			}
-			fmt.Printf("%-32s %-10.1f %-10.1f %-9.1f %.2f\n", r.Spec.Label,
+			fmt.Fprintf(stdout, "%-32s %-10.1f %-10.1f %-9.1f %.2f\n", r.Spec.Label,
 				r.Crit.MeanReadLatency.Nanoseconds(), r.Crit.P95ReadLatency.Nanoseconds(),
 				r.Crit.MaxReadLatency.Nanoseconds(), r.RowHitRate)
 		}
-		return
+		return nil
 	}
 
 	spec := core.RunSpec{
@@ -200,7 +180,7 @@ func main() {
 	}
 	p, crit, err := core.BuildPlatform(spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *parallelN > 0 {
 		// The effective count goes to stderr: stdout must stay
@@ -208,10 +188,10 @@ func main() {
 		// contract CI diffs).
 		eff := p.Plan().Partitions
 		if eff != *parallelN {
-			fmt.Fprintf(os.Stderr, "socsim: -parallel %d clamped to %d partitions (mesh is %d columns wide, %d clusters)\n",
+			fmt.Fprintf(stderr, "socsim: -parallel %d clamped to %d partitions (mesh is %d columns wide, %d clusters)\n",
 				*parallelN, eff, p.MeshConfig().Width, p.ClusterCount())
 		}
-		fmt.Fprintf(os.Stderr, "socsim: event kernel running %d partitions, lookahead %v\n", eff, p.Plan().Lookahead)
+		fmt.Fprintf(stderr, "socsim: event kernel running %d partitions, lookahead %v\n", eff, p.Plan().Lookahead)
 	}
 
 	// The auditor is enabled here rather than via spec.Audit so the
@@ -222,14 +202,14 @@ func main() {
 		printed := 0
 		aud, err = p.EnableAudit(core.AuditOptions{OnViolation: func(v audit.Violation) {
 			if printed < maxPrinted {
-				fmt.Fprintf(os.Stderr, "socsim: %s\n", v)
+				fmt.Fprintf(stderr, "socsim: %s\n", v)
 			} else if printed == maxPrinted {
-				fmt.Fprintf(os.Stderr, "socsim: further violations suppressed (summary at end)\n")
+				fmt.Fprintf(stderr, "socsim: further violations suppressed (summary at end)\n")
 			}
 			printed++
 		}})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
@@ -237,62 +217,64 @@ func main() {
 	if *listen != "" {
 		srv, err = audit.NewServer(*listen)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "socsim: live endpoint on http://%s (/metrics /healthz /progress /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(stderr, "socsim: live endpoint on http://%s (/metrics /healthz /progress /debug/pprof)\n", srv.Addr())
 	}
 
 	p.StartApps()
-	runScenario(p, spec.Duration, srv)
+	runScenario(p, spec.Duration, srv, stderr)
 
 	if suite := p.Telemetry(); suite != nil {
 		p.SnapshotMetrics()
 		if srv != nil {
-			publishLive(p, spec.Duration, srv)
+			publishLive(p, spec.Duration, srv, stderr)
 		}
 		if err := suite.DumpFiles(*metricsPath, *tracePath); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	st := crit.Stats()
+	ms := strconv.FormatFloat(*msec, 'f', -1, 64)
 	if scaled {
 		// The platform shape replaces the hog count in the header: the
 		// scaled scenario derives its population from the mesh. Only
 		// facts invariant across -parallel values may appear here.
 		mc := p.MeshConfig()
-		fmt.Printf("critical app read latency over %dms on a %dx%d mesh (%d clusters, %d channels, %d apps; dsu=%v memguard=%v shape=%v mpam=%v):\n",
-			*msec, mc.Width, mc.Height, p.ClusterCount(), p.Channels(), len(p.Apps()),
+		fmt.Fprintf(stdout, "critical app read latency over %sms on a %dx%d mesh (%d clusters, %d channels, %d apps; dsu=%v memguard=%v shape=%v mpam=%v):\n",
+			ms, mc.Width, mc.Height, p.ClusterCount(), p.Channels(), len(p.Apps()),
 			*useDSU, *useMG, *useShape, *useMPAM)
 	} else {
-		fmt.Printf("critical app read latency over %dms with %d hogs (dsu=%v memguard=%v shape=%v mpam=%v):\n",
-			*msec, *hogs, *useDSU, *useMG, *useShape, *useMPAM)
+		fmt.Fprintf(stdout, "critical app read latency over %sms with %d hogs (dsu=%v memguard=%v shape=%v mpam=%v):\n",
+			ms, *hogs, *useDSU, *useMG, *useShape, *useMPAM)
 	}
-	fmt.Printf("  accesses  %d (hits %d, misses %d)\n", st.Issued, st.L3Hits, st.L3Misses)
-	fmt.Printf("  mean      %.1f ns\n", st.MeanReadLatency.Nanoseconds())
-	fmt.Printf("  p95       %.1f ns\n", st.P95ReadLatency.Nanoseconds())
-	fmt.Printf("  max       %.1f ns\n", st.MaxReadLatency.Nanoseconds())
-	fmt.Printf("  DRAM row-hit rate %.2f\n", p.RowHitRate())
+	fmt.Fprintf(stdout, "  accesses  %d (hits %d, misses %d)\n", st.Issued, st.L3Hits, st.L3Misses)
+	fmt.Fprintf(stdout, "  mean      %.1f ns\n", st.MeanReadLatency.Nanoseconds())
+	fmt.Fprintf(stdout, "  p95       %.1f ns\n", st.P95ReadLatency.Nanoseconds())
+	fmt.Fprintf(stdout, "  max       %.1f ns\n", st.MaxReadLatency.Nanoseconds())
+	fmt.Fprintf(stdout, "  DRAM row-hit rate %.2f\n", p.RowHitRate())
 	if aud != nil {
-		printAuditSummary(aud)
+		printAuditSummary(stdout, aud)
 	}
 
 	if *storeDir != "" {
-		if err := recordRun(*storeDir, spec, *auditOn, p, st); err != nil {
-			fatal(err)
+		if err := recordRun(stderr, *storeDir, spec, *auditOn, p, st); err != nil {
+			return err
 		}
 	}
 
 	if srv != nil {
 		if *linger {
-			fmt.Fprintf(os.Stderr, "socsim: run complete; serving until SIGINT\n")
+			fmt.Fprintf(stderr, "socsim: run complete; serving until SIGINT\n")
 			sigc := make(chan os.Signal, 1)
 			signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 			<-sigc
 		}
 		if err := srv.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // runScenario advances the platform to the horizon. Without a live
@@ -300,7 +282,7 @@ func main() {
 // snapshots are published while traffic flows — the chunk boundaries
 // never reorder events, so the simulated outcome is identical either
 // way.
-func runScenario(p *core.Platform, horizon sim.Duration, srv *audit.Server) {
+func runScenario(p *core.Platform, horizon sim.Duration, srv *audit.Server, stderr io.Writer) {
 	if srv == nil {
 		p.RunFor(horizon)
 		return
@@ -316,17 +298,17 @@ func runScenario(p *core.Platform, horizon sim.Duration, srv *audit.Server) {
 			next = end
 		}
 		p.RunUntil(next)
-		publishLive(p, horizon, srv)
+		publishLive(p, horizon, srv, stderr)
 	}
 }
 
 // publishLive renders the current registry into the endpoint's scrape
 // buffer and refreshes the JSON progress snapshot.
-func publishLive(p *core.Platform, horizon sim.Duration, srv *audit.Server) {
+func publishLive(p *core.Platform, horizon sim.Duration, srv *audit.Server, stderr io.Writer) {
 	p.SnapshotMetrics()
 	if suite := p.Telemetry(); suite != nil && suite.Registry != nil {
 		if err := srv.PublishMetrics(suite.Registry.WriteOpenMetrics); err != nil {
-			fmt.Fprintf(os.Stderr, "socsim: publish metrics: %v\n", err)
+			fmt.Fprintf(stderr, "socsim: publish metrics: %v\n", err)
 		}
 	}
 	prog := struct {
@@ -338,14 +320,14 @@ func publishLive(p *core.Platform, horizon sim.Duration, srv *audit.Server) {
 		prog.Violations = aud.TotalViolations()
 	}
 	if err := srv.PublishProgress(prog); err != nil {
-		fmt.Fprintf(os.Stderr, "socsim: publish progress: %v\n", err)
+		fmt.Fprintf(stderr, "socsim: publish progress: %v\n", err)
 	}
 }
 
 // recordRun appends the finished run to the cross-run results store,
 // reusing the sweep harness's record shape so socsim and sweep runs
 // of the same configuration share fingerprints and metric names.
-func recordRun(dir string, spec core.RunSpec, auditOn bool, p *core.Platform, st core.AppStats) error {
+func recordRun(stderr io.Writer, dir string, spec core.RunSpec, auditOn bool, p *core.Platform, st core.AppStats) error {
 	store, err := obs.Open(dir)
 	if err != nil {
 		return fmt.Errorf("-store: %w", err)
@@ -377,29 +359,29 @@ func recordRun(dir string, spec core.RunSpec, auditOn bool, p *core.Platform, st
 	if err != nil {
 		return fmt.Errorf("-store: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "socsim: recorded run seq=%d label=%s into %s\n", rec.Seq, rec.Label, dir)
+	fmt.Fprintf(stderr, "socsim: recorded run seq=%d label=%s into %s\n", rec.Seq, rec.Label, dir)
 	return nil
 }
 
 // printAuditSummary reports per-app conformance and where the time
 // went, stage by stage.
-func printAuditSummary(aud *audit.Auditor) {
-	fmt.Printf("runtime audit:\n")
+func printAuditSummary(w io.Writer, aud *audit.Auditor) {
+	fmt.Fprintf(w, "runtime audit:\n")
 	for _, s := range aud.Snapshot() {
-		fmt.Printf("  %-8s observed %d  max %.1f ns", s.App, s.Observed, s.MaxNS)
+		fmt.Fprintf(w, "  %-8s observed %d  max %.1f ns", s.App, s.Observed, s.MaxNS)
 		if s.Bound.DelayBoundNS > 0 && s.Violations == 0 {
-			fmt.Printf("  bound %.1f ns  headroom %.1f ns", s.Bound.DelayBoundNS, s.HeadroomNS)
+			fmt.Fprintf(w, "  bound %.1f ns  headroom %.1f ns", s.Bound.DelayBoundNS, s.HeadroomNS)
 		}
 		if s.Violations > 0 {
-			fmt.Printf("  VIOLATIONS %d (bound %.1f ns, worst overrun %.1f ns)",
+			fmt.Fprintf(w, "  VIOLATIONS %d (bound %.1f ns, worst overrun %.1f ns)",
 				s.Violations, s.Bound.DelayBoundNS, -s.HeadroomNS)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, st := range s.Stages {
 			if st.TotalPS == 0 {
 				continue
 			}
-			fmt.Printf("    %-16s %5.1f%% of time  (max %.1f ns)\n",
+			fmt.Fprintf(w, "    %-16s %5.1f%% of time  (max %.1f ns)\n",
 				st.Stage, 100*st.Share, st.MaxPS.Nanoseconds())
 		}
 	}
@@ -422,9 +404,4 @@ func parseMesh(s string) (w, h int, err error) {
 		return 0, 0, fmt.Errorf("-mesh %q: dimensions must be positive", s)
 	}
 	return w, h, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "socsim: %v\n", err)
-	os.Exit(1)
 }

@@ -44,8 +44,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -57,41 +55,16 @@ import (
 	"repro/internal/trace"
 )
 
-// startProfiles begins CPU profiling and arms the heap-profile dump;
-// the returned stop must run before exit (deferred in main).
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
+func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(1)
 	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize up-to-date allocation stats
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: -memprofile: %v\n", err)
-			}
-		}
-	}, nil
 }
 
-func main() {
+// run is the whole command; errors return through it so the deferred
+// profile flush, store close and endpoint shutdown run on every path.
+func run() error {
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	mechs := flag.String("mechs", "none,all", "comma-separated mechanism sets (none, dsu, memguard, shape, mpam, all, or +-joined combos)")
 	hogs := flag.String("hogs", "0,6", "comma-separated aggressor counts (0 adds the isolated baseline)")
@@ -110,22 +83,22 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := telemetry.StartProfiles("sweep", *cpuProfile, *memProfile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProfiles()
 
 	mx, err := buildMatrix(*mechs, *hogs, *workloads, *ms, *seeds, *admApps, *admCrit)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	specs := mx.Expand()
 	if len(specs) == 0 {
-		fatal(fmt.Errorf("empty configuration matrix"))
+		return fmt.Errorf("empty configuration matrix")
 	}
 	if err := armSpecs(specs, *auditOn, *runMetricsDir); err != nil {
-		fatal(err)
+		return err
 	}
 
 	// The store recorder arms its metrics capture after armSpecs so
@@ -135,7 +108,7 @@ func main() {
 	if *storeDir != "" {
 		var err error
 		if store, err = obs.Open(*storeDir); err != nil {
-			fatal(fmt.Errorf("-store: %w", err))
+			return fmt.Errorf("-store: %w", err)
 		}
 		defer store.Close()
 		recorder = sweep.NewRecorder(store, specs)
@@ -146,7 +119,7 @@ func main() {
 	if *listen != "" {
 		var err error
 		if srv, err = audit.NewServer(*listen); err != nil {
-			fatal(err)
+			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "sweep: live endpoint on http://%s (/progress /healthz /slo /debug/pprof)\n", srv.Addr())
@@ -165,11 +138,11 @@ func main() {
 
 	if recorder != nil {
 		if err := recorder.Flush(results); err != nil {
-			fatal(err)
+			return err
 		}
 		statuses, err := obs.EvaluateStore(store, obs.DefaultSLOs())
 		if err != nil {
-			fatal(fmt.Errorf("-store: evaluate SLOs: %w", err))
+			return fmt.Errorf("-store: evaluate SLOs: %w", err)
 		}
 		printSLOs(os.Stderr, statuses)
 		if srv != nil {
@@ -184,14 +157,14 @@ func main() {
 		if err := telemetry.WriteOutput(*jsonPath, func(w io.Writer) error {
 			return sweep.WriteJSON(w, summaries)
 		}); err != nil {
-			fatal(fmt.Errorf("json %s: %w", *jsonPath, err))
+			return fmt.Errorf("json %s: %w", *jsonPath, err)
 		}
 	}
 	if *csvPath != "" {
 		if err := telemetry.WriteOutput(*csvPath, func(w io.Writer) error {
 			return sweep.WriteCSV(w, summaries)
 		}); err != nil {
-			fatal(fmt.Errorf("csv %s: %w", *csvPath, err))
+			return fmt.Errorf("csv %s: %w", *csvPath, err)
 		}
 	}
 	for _, s := range summaries {
@@ -199,6 +172,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sweep: %d/%d runs failed in %q: %s\n", s.Failures, s.Runs, s.Label, s.Failure)
 		}
 	}
+	return nil
 }
 
 // armSpecs applies the per-run observability options onto the
@@ -357,9 +331,4 @@ func printTable(w io.Writer, summaries []sweep.ConfigSummary) {
 		fmt.Fprintf(w, "%-40s %5d %5d %10.1f %10.1f %10.1f %9s %7.2f %5d %9s\n",
 			s.Label, s.Runs, s.Failures, s.MeanNS, s.P95NS, s.MaxNS, slow, s.RowHitRate, s.Violations, "-")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-	os.Exit(1)
 }

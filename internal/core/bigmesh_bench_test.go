@@ -95,7 +95,7 @@ func TestEmitBigMeshBench(t *testing.T) {
 			t.Errorf("big-mesh scaling %.2fx at 8 partitions (GOMAXPROCS=%d), want >= 3x over sequential", scale, gomaxprocs)
 		}
 	} else {
-		t.Logf("GOMAXPROCS=%d < 8: 3x-at-8-partitions floor not enforced on this host (CI scale-smoke enforces it where cores allow)", gomaxprocs)
+		t.Logf("GOMAXPROCS=%d < 8: 3x-at-8-partitions floor not enforced on this host (armed where GOMAXPROCS >= 8)", gomaxprocs)
 	}
 
 	if *bigMeshBenchOut == "" {

@@ -13,8 +13,8 @@ import (
 // The platform-level determinism contract of the parallel kernel:
 // RunSpec.KernelPartitions must never change the simulated outcome.
 // Every partition count produces the same RunResult and the same
-// metrics snapshot, byte for byte — the property the socsim goldens
-// (and the CI diff of `socsim -parallel N` against sequential) pin.
+// metrics snapshot, byte for byte — what `socsim -parallel N` prints
+// and dumps, audit summary included, against the sequential engine.
 
 // runWithPartitions executes one fixed contention scenario and returns
 // the result plus the captured OpenMetrics snapshot.
@@ -25,6 +25,7 @@ func runWithPartitions(t *testing.T, parts int) (RunResult, []byte) {
 		Hogs: 3, HogClass: trace.Infotainment,
 		DSU: true, MemGuard: true, MPAM: true,
 		Duration: 100 * sim.Microsecond, Seed: 11,
+		Audit:            true,
 		KernelPartitions: parts,
 		MetricsSink:      func(b []byte) { snap = b },
 	}
@@ -37,10 +38,12 @@ func runWithPartitions(t *testing.T, parts int) (RunResult, []byte) {
 
 // TestRunKernelPartitionsByteIdentity: results and metrics snapshots
 // are byte-identical across kernel partition counts 0 (sequential
-// engine) and 1/2/4/8 (Parallel kernel).
+// engine) and 1/2/4/8 (Parallel kernel). The auditor is armed, so the
+// snapshot carries the per-app audit families (observed, max, bound,
+// headroom, per-stage latency) that socsim's audit summary prints.
 func TestRunKernelPartitionsByteIdentity(t *testing.T) {
 	want, wantSnap := runWithPartitions(t, 0)
-	if want.Crit.Issued == 0 || len(wantSnap) == 0 {
+	if want.Crit.Issued == 0 || want.AuditObserved == 0 || !bytes.Contains(wantSnap, []byte("audit_crit_")) {
 		t.Fatal("degenerate sequential reference run")
 	}
 	for _, parts := range []int{1, 2, 4, 8} {

@@ -14,7 +14,7 @@ import (
 
 // This file benchmarks the analytic plane's two fast paths against
 // the netcalc arithmetic they stand in for, and emits
-// BENCH_netcalc.json for the CI smoke gate: the memoized operator
+// BENCH_netcalc.json: the memoized operator
 // cache (canonical-curve interning + LRU) against uncached
 // convolution, and the admission decider's closed-form bound against
 // a netcalc.DelayBound evaluation of every member. The uncached
@@ -176,7 +176,7 @@ func BenchmarkAdmissionChurnUncached(b *testing.B) {
 	churnDecisions(b, check, apps)
 }
 
-// ---- machine-readable emission for the CI smoke job ----
+// ---- machine-readable emission (BENCH_netcalc.json) ----
 
 var benchOut = flag.String("benchout", "", "write netcalc benchmark results as JSON to this file")
 

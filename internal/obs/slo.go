@@ -195,10 +195,10 @@ func DefaultSLOs() []SLO {
 // ServiceSLOs is the admission-service plane's contract, evaluated
 // over KindService records written by the load harness (cmd/rmload)
 // and served live on rmd's /slo endpoint: decisions stay fast at the
-// tail, and the steady-state (soak) path stays available. Spike
-// profiles deliberately drive the service into backpressure, so the
-// availability objective is scoped to soak records — 429s under a
-// spike are the design working, not an outage.
+// tail, and the steady-state (soak) path stays available. The
+// availability objective is scoped to soak records: a deliberately
+// saturated run recorded into the same store answers 429s by design,
+// which is backpressure working, not an outage.
 func ServiceSLOs() []SLO {
 	return []SLO{
 		{

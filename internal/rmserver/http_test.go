@@ -166,7 +166,7 @@ func TestHTTPBadRequests(t *testing.T) {
 // sustained throttle ratio, and an open breaker rejects at the front
 // door.
 func TestHTTPOverloadBackpressure(t *testing.T) {
-	f, srv := testService(t, Config{
+	_, srv := testService(t, Config{
 		Shards:        1,
 		QueueDepth:    1,
 		DecisionDelay: 2 * time.Millisecond,
@@ -224,7 +224,18 @@ func TestHTTPOverloadBackpressure(t *testing.T) {
 	if gotRetry != got429 {
 		t.Errorf("%d of %d 429s carried Retry-After", gotRetry, got429)
 	}
-	st := f.Snapshot()
+	// The counters as an operator reads them: /v1/stats stays served
+	// (GET is not breaker-gated) while the breaker holds POSTs off.
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/stats under an open breaker: %d, %v", resp.StatusCode, err)
+	}
 	if st.Throttled == 0 {
 		t.Error("fleet counted no throttled operations")
 	}
@@ -238,7 +249,7 @@ func TestHTTPOverloadBackpressure(t *testing.T) {
 
 	// An open breaker rejects before the body is parsed: even a
 	// malformed request gets 429, not 400.
-	resp, _ := postJSON(t, srv.URL+"/v1/register", `garbage`)
+	resp, _ = postJSON(t, srv.URL+"/v1/register", `garbage`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("open breaker returned %d, want 429 at the front door", resp.StatusCode)
 	}

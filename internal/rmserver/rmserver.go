@@ -175,9 +175,9 @@ type Config struct {
 	Breaker BreakerConfig
 
 	// DecisionDelay adds an artificial sleep to every decision inside
-	// the shard loop. It exists for overload drills: tests and load
-	// harnesses use it to make shard queues fill deterministically on
-	// arbitrarily fast machines. Zero (the default) in production.
+	// the shard loop. It exists for overload tests, which use it to make
+	// shard queues fill deterministically on arbitrarily fast machines.
+	// Zero (the default) in production; no command-line flag sets it.
 	DecisionDelay time.Duration
 }
 

@@ -247,6 +247,9 @@ func TestTraceExemplarResolvesToTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Errorf("/v1/traces Content-Type %q, want application/json", ct)
+	}
 	var doc struct {
 		TraceEvents []struct {
 			Name string  `json:"name"`

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -175,6 +176,26 @@ func TestParallelStressBitIdentity(t *testing.T) {
 				t.Errorf("seed %d: fired with %d partitions = %d, sequential = %d", seed, parts, fired, wantFired)
 			}
 		}
+	}
+}
+
+// TestParallelStressOversubscribed pins GOMAXPROCS to 2 for its
+// duration, so 8 partition goroutines contend for two Ps whatever the
+// host's core count: under -race the detector then sees a
+// preemption-heavy interleaving of the barrier and mailbox paths on
+// every run, and the final state must still match the 1-partition run.
+func TestParallelStressOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const comps = 24
+	const horizon = Time(200_000)
+	run := func(parts int) (uint64, uint64) {
+		m := newStressModel(parts, comps, 0xDEADBEEF, false)
+		m.par.RunUntil(horizon)
+		return m.fingerprint(), m.par.Fired()
+	}
+	want, wantFired := run(1)
+	if got, fired := run(8); got != want || fired != wantFired {
+		t.Errorf("8 partitions on GOMAXPROCS=2: (%#x, %d fired), 1 partition: (%#x, %d fired)", got, fired, want, wantFired)
 	}
 }
 

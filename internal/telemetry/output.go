@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 )
 
 // WriteOutput writes a dump to path, with "-" meaning stdout — the
@@ -38,6 +40,43 @@ func writeOutput(path string, write func(io.Writer) error, create func(string) (
 		return err
 	}
 	return f.Close()
+}
+
+// StartProfiles implements the CLI tools' -cpuprofile/-memprofile
+// flags: it begins CPU profiling to cpuPath and arms a heap-profile
+// dump to memPath ("" skips either). The returned stop must run before
+// the process exits; prog prefixes the heap-profile errors it reports
+// on stderr.
+func StartProfiles(prog, cpuPath, memPath string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		cpuFile, err = os.Create(cpuPath)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s: -memprofile: %v\n", prog, err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // materialize up-to-date allocation stats
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: -memprofile: %v\n", prog, err)
+			}
+		}
+	}, nil
 }
 
 // DumpFiles writes the suite's metrics (OpenMetrics text) and/or trace
