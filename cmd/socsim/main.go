@@ -59,6 +59,8 @@
 // /healthz, /progress, /debug/pprof/*) for scraping the run in
 // flight; -linger keeps it serving after the run until SIGINT, so
 // external scrapers (or CI's process smoke) can probe a finished run.
+// With -listen, a SIGINT or SIGTERM during the run stops it at the
+// next chunk, writes nothing and exits 1.
 // -store appends the run's record — headline latencies, audit
 // conformance, config fingerprint, and the full OpenMetrics snapshot
 // — to the cross-run results store in that directory, where obsq can
@@ -214,16 +216,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	var srv *audit.Server
+	var sigc chan os.Signal
 	if *listen != "" {
 		srv, err = audit.NewServer(*listen)
 		if err != nil {
 			return err
 		}
+		// The handler goes in before the run: a background job of a
+		// non-interactive shell starts with SIGINT ignored, and Notify
+		// is what un-ignores it, so a later install would lose a
+		// signal sent mid-run.
+		sigc = make(chan os.Signal, 1)
+		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sigc)
 		fmt.Fprintf(stderr, "socsim: live endpoint on http://%s (/metrics /healthz /progress /debug/pprof)\n", srv.Addr())
 	}
 
 	p.StartApps()
-	runScenario(p, spec.Duration, srv, stderr)
+	if sig := runScenario(p, spec.Duration, srv, sigc, stderr); sig != nil {
+		_ = srv.Close() // the interruption is the error to report
+		return fmt.Errorf("%v at %g of %g simulated ms; nothing written", sig,
+			p.Eng.Now().Nanoseconds()/1e6, spec.Duration.Nanoseconds()/1e6)
+	}
 
 	if suite := p.Telemetry(); suite != nil {
 		p.SnapshotMetrics()
@@ -266,9 +280,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if srv != nil {
 		if *linger {
 			fmt.Fprintf(stderr, "socsim: run complete; serving until SIGINT\n")
-			sigc := make(chan os.Signal, 1)
-			signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-			<-sigc
+			<-sigc // returns at once for a signal sent since the run
 		}
 		if err := srv.Close(); err != nil {
 			return err
@@ -281,11 +293,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 // endpoint it is one RunFor; with one, the run is chunked so fresh
 // snapshots are published while traffic flows — the chunk boundaries
 // never reorder events, so the simulated outcome is identical either
-// way.
-func runScenario(p *core.Platform, horizon sim.Duration, srv *audit.Server, stderr io.Writer) {
+// way. A signal on sigc stops the run at the next chunk boundary and
+// is returned.
+func runScenario(p *core.Platform, horizon sim.Duration, srv *audit.Server, sigc <-chan os.Signal, stderr io.Writer) os.Signal {
 	if srv == nil {
 		p.RunFor(horizon)
-		return
+		return nil
 	}
 	end := p.Eng.Now() + horizon
 	chunk := horizon / 64
@@ -299,7 +312,13 @@ func runScenario(p *core.Platform, horizon sim.Duration, srv *audit.Server, stde
 		}
 		p.RunUntil(next)
 		publishLive(p, horizon, srv, stderr)
+		select {
+		case sig := <-sigc:
+			return sig
+		default:
+		}
 	}
+	return nil
 }
 
 // publishLive renders the current registry into the endpoint's scrape

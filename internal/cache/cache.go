@@ -101,7 +101,9 @@ func (s Stats) MissRate() float64 {
 // Cache is a set-associative cache with partitioned allocation.
 // Not safe for concurrent use (single-threaded simulation kernel).
 type Cache struct {
-	cfg   Config
+	cfg Config
+	// sets[i] is nil until set i first installs a line, so a cache
+	// costs only the sets its workload touches.
 	sets  [][]line
 	clock uint64
 
@@ -128,9 +130,6 @@ func New(cfg Config) (*Cache, error) {
 		sets:      make([][]line, cfg.Sets),
 		stats:     make(map[Owner]*Stats),
 		occupancy: make(map[Owner]int),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
 	}
 	for ls := cfg.LineSize; ls > 1; ls >>= 1 {
 		c.setShift++
@@ -163,7 +162,10 @@ func log2(n int) int {
 
 // Access performs one read or write by owner at addr. On a miss the
 // line is installed into an allowed way (LRU victim among them); if
-// the policy allows no ways, the access bypasses the cache.
+// the policy allows no ways, the access bypasses the cache. A set
+// that has never installed a line is nil and reads as all-invalid:
+// its first install allocates it and takes the lowest allowed way,
+// the first invalid way an allocated set would pick.
 func (c *Cache) Access(owner Owner, addr uint64, write bool) Result {
 	c.clock++
 	set := c.SetIndex(addr)
@@ -190,6 +192,16 @@ func (c *Cache) Access(owner Owner, addr uint64, write bool) Result {
 	}
 
 	allowed := c.cfg.Policy.AllowedWays(owner, set)
+	if lines == nil {
+		if c.cfg.Ways < 64 {
+			allowed &= 1<<uint(c.cfg.Ways) - 1
+		}
+		if allowed == 0 {
+			return Result{} // allocation denied: bypass
+		}
+		lines = make([]line, c.cfg.Ways)
+		c.sets[set] = lines
+	}
 	victim := -1
 	var victimUse uint64 = ^uint64(0)
 	for i := range lines {

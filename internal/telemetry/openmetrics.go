@@ -2,7 +2,7 @@ package telemetry
 
 import (
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -20,22 +20,23 @@ func sanitizeMetricName(name string) string {
 	if name == "" {
 		return "_"
 	}
-	b := make([]byte, 0, len(name)+1)
+	var b strings.Builder
+	b.Grow(len(name) + 1)
 	for i := 0; i < len(name); i++ {
 		c := name[i]
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
-			b = append(b, c)
+			b.WriteByte(c)
 		case c >= '0' && c <= '9':
 			if i == 0 {
-				b = append(b, '_')
+				b.WriteByte('_')
 			}
-			b = append(b, c)
+			b.WriteByte(c)
 		default:
-			b = append(b, '_')
+			b.WriteByte('_')
 		}
 	}
-	return string(b)
+	return b.String()
 }
 
 // splitInstrument splits an instrument name of the labeled form
@@ -92,6 +93,30 @@ func appendExemplar(b []byte, ex Exemplar) []byte {
 	return b
 }
 
+// omEntry is one registry instrument as the exposition renders it.
+type omEntry struct {
+	name   string // sanitized base metric name
+	kind   int    // kindCounter, kindGauge or kindHistogram
+	raw    string // registry key
+	labels string // "{...}" or ""
+	help   string // HELP set on the raw key, else on the base
+	c      *Counter
+	g      *Gauge
+	h      *Histogram
+}
+
+// Entry kinds in the order same-named families render.
+const (
+	kindCounter = iota
+	kindGauge
+	kindHistogram
+)
+
+// omFlushAt is the buffered size at which WriteOpenMetrics hands its
+// rendering to the writer; the buffer starts at no more than twice
+// that.
+const omFlushAt = 32 << 10
+
 // WriteOpenMetrics serializes the registry as OpenMetrics text
 // exposition: counters as `<name>_total`, gauges verbatim, histograms
 // as summary families (quantiles 0.5/0.95/0.99 plus _sum/_count) with
@@ -99,190 +124,186 @@ func appendExemplar(b []byte, ex Exemplar) []byte {
 // trailing label block (see splitInstrument) group into one family —
 // TYPE/HELP once, one sample line per label set — and a histogram
 // holding an exemplar renders it on its p99 quantile line. Families
-// are sorted by metric name and members by label block, so identical
-// registries serialize byte-identically; label-free registries render
-// exactly as before the labeled convention existed. The stream ends
-// with the mandatory `# EOF` marker. This is the registry's only dump:
-// the mean of a histogram is its _sum over its _count.
+// are sorted by metric name (counter, gauge, then summary for equal
+// names) and members by registry key, so identical registries
+// serialize byte-identically; label-free registries render exactly as
+// before the labeled convention existed. A family's HELP is the first
+// member's, in key order, that has one. The stream ends with the
+// mandatory `# EOF` marker. This is the registry's only dump: the mean
+// of a histogram is its _sum over its _count.
+//
+// The exposition is streamed: one entry per instrument is collected
+// under the registry lock, and the text goes to w in chunks of about
+// omFlushAt bytes, so the dump costs memory in proportion to the
+// instrument count, not to the text.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	if r == nil {
 		_, err := io.WriteString(w, "# EOF\n")
 		return err
 	}
 	r.mu.Lock()
-	counters := make(map[string]uint64, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v.Value()
+	es := make([]omEntry, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
+	add := func(kind int, raw string) *omEntry {
+		base, labels := splitInstrument(raw)
+		help := r.helps[raw]
+		if help == "" {
+			help = r.helps[base]
+		}
+		es = append(es, omEntry{name: sanitizeMetricName(base), kind: kind, raw: raw, labels: labels, help: help})
+		return &es[len(es)-1]
 	}
-	gauges := make(map[string]float64, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v.Value()
+	for k, c := range r.counters {
+		add(kindCounter, k).c = c
 	}
-	histRefs := make(map[string]*Histogram, len(r.histograms))
-	for k, v := range r.histograms {
-		histRefs[k] = v
+	for k, g := range r.gauges {
+		add(kindGauge, k).g = g
 	}
-	helps := make(map[string]string, len(r.helps))
-	for k, v := range r.helps {
-		helps[k] = v
+	for k, h := range r.histograms {
+		add(kindHistogram, k).h = h
 	}
 	r.mu.Unlock()
-	hists := make(map[string]Summary, len(histRefs))
-	exemplars := make(map[string]Exemplar)
-	for k, h := range histRefs {
-		hists[k] = h.Summarize()
-		if ex, ok := h.Exemplar(); ok {
-			exemplars[k] = ex
+	slices.SortFunc(es, func(a, b omEntry) int {
+		if c := strings.Compare(a.name, b.name); c != 0 {
+			return c
 		}
-	}
+		if a.kind != b.kind {
+			return a.kind - b.kind
+		}
+		return strings.Compare(a.raw, b.raw)
+	})
 
-	type member struct {
-		key    string // full instrument name (registry key)
-		labels string // "{...}" or ""
-	}
-	const (
-		kindCounter = iota
-		kindGauge
-		kindHistogram
-	)
-	type family struct {
-		name    string // sanitized base metric name
-		kind    int
-		help    string
-		members []member
-	}
-	var fams []*family
-	byKey := make(map[string]*family)
-	add := func(kind int, raw string) {
-		base, labels := splitInstrument(raw)
-		n := sanitizeMetricName(base)
-		mk := string(rune('0'+kind)) + n
-		f := byKey[mk]
-		if f == nil {
-			f = &family{name: n, kind: kind}
-			byKey[mk] = f
-			fams = append(fams, f)
+	// ~64 B per instrument: a small registry renders without a
+	// full-size buffer, and a large one never needs more.
+	o := omStream{w: w, b: make([]byte, 0, min(2*omFlushAt, 64*len(es)))}
+	var sums []Summary
+	for len(es) > 0 && o.err == nil {
+		n := 1
+		for n < len(es) && es[n].name == es[0].name && es[n].kind == es[0].kind {
+			n++
 		}
-		if f.help == "" {
-			if h := helps[raw]; h != "" {
-				f.help = h
-			} else {
-				f.help = helps[base]
+		fam := es[:n]
+		es = es[n:]
+		name, help := fam[0].name, ""
+		for i := range fam {
+			if help = fam[i].help; help != "" {
+				break
 			}
 		}
-		f.members = append(f.members, member{key: raw, labels: labels})
-	}
-	// Keys are added in sorted order per kind, so a family's members —
-	// which share a base — arrive sorted by label block.
-	for _, k := range sortedKeys(counters) {
-		add(kindCounter, k)
-	}
-	for _, k := range sortedKeys(gauges) {
-		add(kindGauge, k)
-	}
-	for _, k := range sortedKeys(hists) {
-		add(kindHistogram, k)
-	}
-	sort.SliceStable(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	var b []byte
-	for _, f := range fams {
-		b = appendFamilyHelp(b, f.name, f.help)
-		switch f.kind {
+		o.b = appendFamilyHelp(o.b, name, "", help)
+		switch fam[0].kind {
 		case kindCounter:
-			b = appendFamilyType(b, f.name, "counter")
-			for _, m := range f.members {
-				b = append(b, f.name...)
-				b = append(b, "_total"...)
-				b = append(b, m.labels...)
-				b = append(b, ' ')
-				b = strconv.AppendUint(b, counters[m.key], 10)
-				b = append(b, '\n')
+			o.b = appendFamilyType(o.b, name, "", "counter")
+			for i := range fam {
+				o.b = append(o.b, name...)
+				o.b = append(o.b, "_total"...)
+				o.b = append(o.b, fam[i].labels...)
+				o.b = append(o.b, ' ')
+				o.b = strconv.AppendUint(o.b, fam[i].c.Value(), 10)
+				o.b = append(o.b, '\n')
+				o.flush(omFlushAt)
 			}
 		case kindGauge:
-			b = appendFamilyType(b, f.name, "gauge")
-			for _, m := range f.members {
-				b = append(b, f.name...)
-				b = append(b, m.labels...)
-				b = append(b, ' ')
-				b = appendFloat(b, gauges[m.key])
-				b = append(b, '\n')
+			o.b = appendFamilyType(o.b, name, "", "gauge")
+			for i := range fam {
+				o.b = append(o.b, name...)
+				o.b = append(o.b, fam[i].labels...)
+				o.b = append(o.b, ' ')
+				o.b = appendFloat(o.b, fam[i].g.Value())
+				o.b = append(o.b, '\n')
+				o.flush(omFlushAt)
 			}
 		case kindHistogram:
-			b = appendFamilyType(b, f.name, "summary")
-			for _, m := range f.members {
-				s := hists[m.key]
-				for _, q := range []struct {
+			o.b = appendFamilyType(o.b, name, "", "summary")
+			sums = sums[:0]
+			for i := range fam {
+				m := &fam[i]
+				s := m.h.Summarize()
+				ex, hasEx := m.h.Exemplar()
+				sums = append(sums, s)
+				for _, q := range [...]struct {
 					label string
 					v     int64
 				}{{"0.5", s.P50}, {"0.95", s.P95}, {"0.99", s.P99}} {
-					b = append(b, f.name...)
-					b = appendLabels(b, m.labels, "quantile", q.label)
-					b = append(b, ' ')
-					b = strconv.AppendInt(b, q.v, 10)
-					if q.label == "0.99" {
-						if ex, ok := exemplars[m.key]; ok {
-							b = appendExemplar(b, ex)
-						}
+					o.b = append(o.b, name...)
+					o.b = appendLabels(o.b, m.labels, "quantile", q.label)
+					o.b = append(o.b, ' ')
+					o.b = strconv.AppendInt(o.b, q.v, 10)
+					if q.label == "0.99" && hasEx {
+						o.b = appendExemplar(o.b, ex)
 					}
-					b = append(b, '\n')
+					o.b = append(o.b, '\n')
 				}
-				b = append(b, f.name...)
-				b = append(b, "_sum"...)
-				b = append(b, m.labels...)
-				b = append(b, ' ')
-				b = strconv.AppendInt(b, s.Sum, 10)
-				b = append(b, '\n')
-				b = append(b, f.name...)
-				b = append(b, "_count"...)
-				b = append(b, m.labels...)
-				b = append(b, ' ')
-				b = strconv.AppendUint(b, s.Count, 10)
-				b = append(b, '\n')
+				o.b = append(o.b, name...)
+				o.b = append(o.b, "_sum"...)
+				o.b = append(o.b, m.labels...)
+				o.b = append(o.b, ' ')
+				o.b = strconv.AppendInt(o.b, s.Sum, 10)
+				o.b = append(o.b, '\n')
+				o.b = append(o.b, name...)
+				o.b = append(o.b, "_count"...)
+				o.b = append(o.b, m.labels...)
+				o.b = append(o.b, ' ')
+				o.b = strconv.AppendUint(o.b, s.Count, 10)
+				o.b = append(o.b, '\n')
+				o.flush(omFlushAt)
 			}
 			// Min/max are not summary suffixes; expose them as
 			// companion gauge families (all members of the summary
 			// family, contiguously, so families never interleave).
-			if f.help != "" {
-				b = appendFamilyHelp(b, f.name+"_min", f.help+" (min)")
-			}
-			b = appendFamilyType(b, f.name+"_min", "gauge")
-			for _, m := range f.members {
-				b = append(b, f.name...)
-				b = append(b, "_min"...)
-				b = append(b, m.labels...)
-				b = append(b, ' ')
-				b = strconv.AppendInt(b, hists[m.key].Min, 10)
-				b = append(b, '\n')
-			}
-			if f.help != "" {
-				b = appendFamilyHelp(b, f.name+"_max", f.help+" (max)")
-			}
-			b = appendFamilyType(b, f.name+"_max", "gauge")
-			for _, m := range f.members {
-				b = append(b, f.name...)
-				b = append(b, "_max"...)
-				b = append(b, m.labels...)
-				b = append(b, ' ')
-				b = strconv.AppendInt(b, hists[m.key].Max, 10)
-				b = append(b, '\n')
+			for _, suffix := range [...]string{"_min", "_max"} {
+				o.b = appendFamilyHelp(o.b, name, suffix, help)
+				o.b = appendFamilyType(o.b, name, suffix, "gauge")
+				for i := range fam {
+					v := sums[i].Min
+					if suffix == "_max" {
+						v = sums[i].Max
+					}
+					o.b = append(o.b, name...)
+					o.b = append(o.b, suffix...)
+					o.b = append(o.b, fam[i].labels...)
+					o.b = append(o.b, ' ')
+					o.b = strconv.AppendInt(o.b, v, 10)
+					o.b = append(o.b, '\n')
+					o.flush(omFlushAt)
+				}
 			}
 		}
 	}
-	b = append(b, "# EOF\n"...)
-	_, err := w.Write(b)
-	return err
+	o.b = append(o.b, "# EOF\n"...)
+	o.flush(0)
+	return o.err
 }
 
-// appendFamilyHelp emits a `# HELP` line when help is non-empty.
-// Newlines in the text would break the line-oriented exposition, so
-// they are flattened to spaces.
-func appendFamilyHelp(b []byte, name, help string) []byte {
+// omStream is WriteOpenMetrics' output buffer. The first write error
+// sticks: later flushes drop their bytes and the error is returned.
+type omStream struct {
+	w   io.Writer
+	b   []byte
+	err error
+}
+
+// flush hands the buffer to the writer once it holds min bytes.
+func (o *omStream) flush(min int) {
+	if len(o.b) < min {
+		return
+	}
+	if o.err == nil {
+		_, o.err = o.w.Write(o.b)
+	}
+	o.b = o.b[:0]
+}
+
+// appendFamilyHelp emits a `# HELP` line for family name+suffix when
+// help is non-empty; a summary's companion family (suffix "_min" or
+// "_max") notes the suffix after the text. Newlines in the text would
+// break the line-oriented exposition, so they are flattened to spaces.
+func appendFamilyHelp(b []byte, name, suffix, help string) []byte {
 	if help == "" {
 		return b
 	}
 	b = append(b, "# HELP "...)
 	b = append(b, name...)
+	b = append(b, suffix...)
 	b = append(b, ' ')
 	for i := 0; i < len(help); i++ {
 		c := help[i]
@@ -291,22 +312,19 @@ func appendFamilyHelp(b []byte, name, help string) []byte {
 		}
 		b = append(b, c)
 	}
+	if suffix != "" {
+		b = append(b, " ("...)
+		b = append(b, suffix[1:]...)
+		b = append(b, ')')
+	}
 	return append(b, '\n')
 }
 
-func appendFamilyType(b []byte, name, kind string) []byte {
+func appendFamilyType(b []byte, name, suffix, kind string) []byte {
 	b = append(b, "# TYPE "...)
 	b = append(b, name...)
+	b = append(b, suffix...)
 	b = append(b, ' ')
 	b = append(b, kind...)
 	return append(b, '\n')
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

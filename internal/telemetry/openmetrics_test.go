@@ -2,6 +2,12 @@ package telemetry
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -236,4 +242,143 @@ func TestSplitSample(t *testing.T) {
 				c.line, name, labels, rest, ok, c.name, c.labels, c.rest, c.ok)
 		}
 	}
+}
+
+// expositionRegistry reaches every rendering rule of the exposition:
+// two bases that sanitize to one name (a.b, a_b), one name under all
+// three kinds (x.lat), labeled members, HELP on a base and on a raw
+// key (the first member in key order with either wins), a HELP with a
+// newline, an exemplar, an empty histogram and non-finite gauges.
+func expositionRegistry() *Registry {
+	r := NewRegistry()
+	r.Counter("a.b").Add(3)
+	r.Counter("a_b").Add(4)
+	r.SetHelp("a_b", "Two bases, one family.")
+	r.Counter("x.lat").Add(9)
+	r.Gauge("x.lat").Set(2.5)
+	h := r.Histogram("x.lat")
+	for _, v := range []int64{10, 20, 40, 80, 5000} {
+		h.Record(v)
+	}
+	r.SetHelp("x.lat", "Latency\nin ns.")
+	for i, shard := range []string{"1", "0", "10"} {
+		r.Gauge(`q.depth{shard="` + shard + `"}`).Set(float64(i) - 0.25)
+		r.Counter(`q.ops{shard="` + shard + `"}`).Add(uint64(100 * i))
+	}
+	r.SetHelp("q.depth", "Queue depth.")
+	r.SetHelp(`q.ops{shard="10"}`, "Ops on shard 10.")
+	r.SetHelp("q.ops", "Ops per shard.")
+	put := r.Histogram(`rpc.lat{op="put"}`)
+	put.Record(7)
+	put.RecordExemplar(900, "4bf92f3577b34da6a3ce929d0e0e4736", 1700000000_123_000_000)
+	r.Histogram(`rpc.lat{op="get"}`).Record(3)
+	r.SetHelp(`rpc.lat{op="put"}`, "RPC latency.")
+	r.Histogram("idle.lat")
+	r.Gauge("9lives").Set(math.Inf(1))
+	r.Gauge("nan").Set(math.NaN())
+	return r
+}
+
+// TestWriteOpenMetricsGolden pins the exposition byte for byte. The
+// golden was rendered by the map-based writer that the streaming one
+// replaced, so it also pins that the two agree.
+func TestWriteOpenMetricsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/exposition.om")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := expositionRegistry().WriteOpenMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("exposition differs from testdata/exposition.om:\n--- got\n%s--- want\n%s", buf.Bytes(), want)
+	}
+}
+
+// bigmeshShapedRegistry mirrors the instrument mix of the 16x16
+// clustered platform's registry: 4096 histograms (eight per app over
+// 512 apps, labeled by stage) holding a few samples each, and 6144
+// gauges.
+func bigmeshShapedRegistry() *Registry {
+	r := NewRegistry()
+	stages := []string{"latency", "noc_request", "noc_response", "dram_queue",
+		"dram_service", "channel_wait", "read", "write"}
+	for app := 0; app < 512; app++ {
+		for i, st := range stages {
+			h := r.Histogram(fmt.Sprintf(`audit.hog%d.stage_ps{stage="%s"}`, app, st))
+			for v := int64(1); v <= 4; v++ {
+				h.Record(v * int64(1000+app+i))
+			}
+		}
+		for g := 0; g < 12; g++ {
+			r.Gauge(fmt.Sprintf("monitor.mem:hog%d.window%d_bytes", app, g)).Set(float64(app*g) / 3)
+		}
+	}
+	return r
+}
+
+type countingWriter struct{ n int }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.n += len(p)
+	return len(p), nil
+}
+
+// TestWriteOpenMetricsAllocsBelowOutput bounds the dump's heap cost:
+// streaming allocates per instrument, not per output byte, so one
+// exposition of a big-mesh-shaped registry allocates fewer bytes than
+// it writes.
+func TestWriteOpenMetricsAllocsBelowOutput(t *testing.T) {
+	r := bigmeshShapedRegistry()
+	var out countingWriter
+	if err := r.WriteOpenMetrics(&out); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := r.WriteOpenMetrics(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(out.n) {
+		t.Fatalf("one exposition allocated %d bytes for %d bytes of output, want fewer", alloc, out.n)
+	}
+}
+
+func BenchmarkWriteOpenMetrics(b *testing.B) {
+	r := bigmeshShapedRegistry()
+	var out countingWriter
+	if err := r.WriteOpenMetrics(&out); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(out.n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.WriteOpenMetrics(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestWriteOpenMetricsStopsAtWriteError: the first failed write ends
+// the stream and is returned.
+func TestWriteOpenMetricsStopsAtWriteError(t *testing.T) {
+	w := &failingWriter{}
+	if err := bigmeshShapedRegistry().WriteOpenMetrics(w); !errors.Is(err, errWriteFailed) {
+		t.Fatalf("err = %v, want %v", err, errWriteFailed)
+	}
+	if w.calls != 1 {
+		t.Fatalf("writer called %d times after failing, want 1 call", w.calls)
+	}
+}
+
+var errWriteFailed = errors.New("write failed")
+
+type failingWriter struct{ calls int }
+
+func (f *failingWriter) Write([]byte) (int, error) {
+	f.calls++
+	return 0, errWriteFailed
 }
