@@ -58,11 +58,13 @@ func benchFileParallel(t *testing.T, dir, name string, p4PerSec, bigmeshP8PerSec
 			"allocs_per_event": 0.001,
 		}
 	}
+	const bigmeshP0PerSec = 2.3e6
 	bigmesh := func(parts int, perSec float64) map[string]any {
 		return map[string]any{
 			"partitions":     parts,
 			"events_per_sec": perSec,
 			"events":         190466,
+			"speedup":        perSec / bigmeshP0PerSec,
 			"gomaxprocs":     8,
 		}
 	}
@@ -84,7 +86,7 @@ func benchFileParallel(t *testing.T, dir, name string, p4PerSec, bigmeshP8PerSec
 				point(8, 23.5e6),
 			},
 			"bigmesh": []any{
-				bigmesh(0, 2.3e6),
+				bigmesh(0, bigmeshP0PerSec),
 				bigmesh(1, 2.4e6),
 				bigmesh(4, 5.1e6),
 				bigmesh(8, bigmeshP8PerSec),
@@ -114,8 +116,8 @@ func TestIngestBenchParallelSeries(t *testing.T) {
 	// The series flatten by their partitions discriminator, never by
 	// array index, so the metric names survive reordering or extending
 	// the series. parallel.bigmesh is the clustered-platform scaling
-	// series (p0 = the sequential engine), the one CI's
-	// committed-trajectory gate judges at p8.
+	// series (p0 = the sequential engine); CI's committed-trajectory
+	// gate judges its same-run speedup at p8.
 	for metric, want := range map[string]float64{
 		"parallel.gomaxprocs":                 4,
 		"parallel.series.events_per_sec_p1":   15.7e6,
@@ -125,6 +127,8 @@ func TestIngestBenchParallelSeries(t *testing.T) {
 		"parallel.bigmesh.events_per_sec_p0":  2.3e6,
 		"parallel.bigmesh.events_per_sec_p8":  7.5e6,
 		"parallel.bigmesh.events_p4":          190466,
+		"parallel.bigmesh.speedup_p0":         1,
+		"parallel.bigmesh.speedup_p8":         7.5e6 / 2.3e6,
 		"new.events_per_sec":                  16.6e6,
 	} {
 		if got, ok := vals[metric]; !ok || got != want {
@@ -171,7 +175,7 @@ func TestSentinelParallelScalingRegression(t *testing.T) {
 func TestSentinelBigMeshScalingRegression(t *testing.T) {
 	// The big-mesh gate's shape: a collapse confined to the big-mesh
 	// 8-partition point must trip the sentinel under -only
-	// parallel.bigmesh.events_per_sec_p8, the metric CI's
+	// parallel.bigmesh.speedup_p8, the same-run p8-over-p0 ratio CI's
 	// committed-trajectory step names.
 	dir := t.TempDir()
 	store := filepath.Join(dir, "store")
@@ -182,7 +186,7 @@ func TestSentinelBigMeshScalingRegression(t *testing.T) {
 		}
 	}
 	if code, _, errOut := exec(t, "sentinel", "-store", store, "-min-history", "1",
-		"-only", "parallel.bigmesh.events_per_sec_p8"); code != 0 {
+		"-only", "parallel.bigmesh.speedup_p8"); code != 0 {
 		t.Fatalf("identical big-mesh series flagged: %s", errOut)
 	}
 
@@ -191,11 +195,11 @@ func TestSentinelBigMeshScalingRegression(t *testing.T) {
 		t.Fatalf("bad record failed: %s", errOut)
 	}
 	code, out, errOut := exec(t, "sentinel", "-store", store, "-min-history", "1",
-		"-only", "parallel.bigmesh.events_per_sec_p8")
+		"-only", "parallel.bigmesh.speedup_p8")
 	if code != 1 {
 		t.Fatalf("big-mesh p8 collapse exit = %d, stderr = %q\n%s", code, errOut, out)
 	}
-	if !strings.Contains(out, "parallel.bigmesh.events_per_sec_p8") {
+	if !strings.Contains(out, "parallel.bigmesh.speedup_p8") {
 		t.Fatalf("finding does not name the big-mesh series point:\n%s", out)
 	}
 }

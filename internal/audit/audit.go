@@ -22,7 +22,8 @@
 // mutable state is mutex-guarded with locks never held across
 // callbacks. After registration the observe path allocates only the
 // first time one of an app's histograms reaches a new octave (one
-// 256 B block, at most 59 per histogram); steady-state observation
+// 256 B block, at most 59 per histogram, and a longer block slice
+// when the old one is full); steady-state observation
 // allocates nothing, preserving the repository's hot-path guarantees.
 package audit
 
@@ -175,10 +176,7 @@ func (a *Auditor) Register(app string, b Bound) *AppAuditor {
 	defer a.mu.Unlock()
 	aa := a.apps[app]
 	if aa == nil {
-		aa = &AppAuditor{au: a, name: app, hist: telemetry.NewHistogram()}
-		for s := range aa.stageHists {
-			aa.stageHists[s] = telemetry.NewHistogram()
-		}
+		aa = &AppAuditor{au: a, name: app}
 		a.apps[app] = aa
 		a.order = append(a.order, app)
 	}
@@ -276,8 +274,9 @@ type AppAuditor struct {
 	stageSum   [NumStages]sim.Duration
 	stageMax   [NumStages]sim.Duration
 
-	hist       *telemetry.Histogram
-	stageHists [NumStages]*telemetry.Histogram
+	// Held by value so registering an app is one allocation.
+	hist       telemetry.Histogram
+	stageHists [NumStages]telemetry.Histogram
 }
 
 // Name returns the app's name.
@@ -348,14 +347,14 @@ func (aa *AppAuditor) Violations() uint64 {
 
 // LatencyHistogram exposes the app's end-to-end latency histogram
 // (picoseconds) for registry adoption.
-func (aa *AppAuditor) LatencyHistogram() *telemetry.Histogram { return aa.hist }
+func (aa *AppAuditor) LatencyHistogram() *telemetry.Histogram { return &aa.hist }
 
 // StageHistogram exposes one stage's attribution histogram.
 func (aa *AppAuditor) StageHistogram(s Stage) *telemetry.Histogram {
 	if s < 0 || s >= NumStages {
 		return nil
 	}
-	return aa.stageHists[s]
+	return &aa.stageHists[s]
 }
 
 // Snapshot copies the app's current audit state.

@@ -182,6 +182,31 @@ func TestEnableAuditAllocation(t *testing.T) {
 	}
 }
 
+// TestBigMeshSetupAllocBudget gates what the big mesh costs before its
+// first event: one BuildPlatform plus EnableAudit, the setup a bigmesh
+// run pays, within 2.5 MiB and 16k heap objects. Every audited app
+// registers one allocation and a histogram holds no block until it
+// records, so an eager per-app or per-octave allocation fails here.
+func TestBigMeshSetupAllocBudget(t *testing.T) {
+	const maxBytes, maxObjects = 5 << 20 / 2, 16_000 // 2.5 MiB
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, _, err := BuildPlatform(BigMeshSpec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.EnableAudit(AuditOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("big-mesh setup: %d B in %d objects", bytes, objects)
+	if bytes > maxBytes || objects > maxObjects {
+		t.Errorf("big-mesh setup allocated %d B in %d objects, want <= %d B and <= %d objects",
+			bytes, objects, maxBytes, maxObjects)
+	}
+}
+
 // BenchmarkBigMeshSetup measures building the big mesh and arming its
 // auditor, the setup a bigmesh run pays before its first event:
 //

@@ -52,6 +52,9 @@ func measureBigMesh(t *testing.T, partitions int, dur sim.Duration) (eventsPerSe
 // TestEmitBench (internal/sim) emitted stay in place; the series lands
 // under parallel.bigmesh, where obsq flattens it to
 // parallel.bigmesh.events_per_sec_pN (p0 = the sequential engine).
+// Each point's speedup is its events/sec over the same run's p0
+// events/sec (parallel.bigmesh.speedup_pN): a same-process ratio, so
+// it compares across machines where absolute events/sec does not.
 //
 // The scaling floors arm only where cores exist to scale onto,
 // mirroring TestEmitBench: >=1.5x at 4 partitions under GOMAXPROCS>=4,
@@ -69,6 +72,7 @@ func TestEmitBigMeshBench(t *testing.T) {
 		Partitions   int     `json:"partitions"`
 		EventsPerSec float64 `json:"events_per_sec"`
 		Events       uint64  `json:"events"`
+		Speedup      float64 `json:"speedup"`
 		Gomaxprocs   int     `json:"gomaxprocs"`
 	}
 	var series []point
@@ -81,7 +85,8 @@ func TestEmitBigMeshBench(t *testing.T) {
 			best, bestEvents = again, ev
 		}
 		perSec[parts] = best
-		series = append(series, point{Partitions: parts, EventsPerSec: best, Events: bestEvents, Gomaxprocs: gomaxprocs})
+		series = append(series, point{Partitions: parts, EventsPerSec: best, Events: bestEvents,
+			Speedup: best / perSec[0], Gomaxprocs: gomaxprocs})
 		t.Logf("bigmesh p%d: %.0f events/sec (%d events over %v sim)", parts, best, bestEvents, dur)
 	}
 

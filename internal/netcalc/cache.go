@@ -78,7 +78,9 @@ type Cache struct {
 }
 
 // NewCache returns an empty cache bounded to capacity entries
-// (DefaultCacheCapacity if capacity <= 0).
+// (DefaultCacheCapacity if capacity <= 0). capacity is the LRU
+// eviction bound only: the memo map grows with use and is not
+// pre-sized to it.
 func NewCache(capacity int) *Cache {
 	return newCacheWithInterner(capacity, newInterner())
 }
@@ -89,7 +91,7 @@ func newCacheWithInterner(capacity int, in *interner) *Cache {
 	}
 	return &Cache{
 		in:      in,
-		entries: make(map[opKey]*cacheEntry, capacity),
+		entries: make(map[opKey]*cacheEntry),
 		cap:     capacity,
 	}
 }

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -47,22 +49,29 @@ const (
 // per power-of-two range, subBuckets counters each.
 const numBlocks = numBuckets / subBuckets
 
+// Compile-time check that Histogram.present has a bit per octave block.
+var _ [64 - numBlocks]struct{}
+
 // Histogram is a fixed-geometry log-scale histogram with O(1) Record
 // and O(touched buckets) quantile queries. Negative values are clamped
 // to zero. Counters live in per-octave blocks of subBuckets uint64s
-// (256 B) allocated the first time a value lands in that octave, so an
-// empty histogram is ~0.55 KB and one that has seen k octaves adds
-// k*256 B; Reset keeps the blocks. The zero value is ready to use, and
-// NewHistogram returns a pointer to one. All methods are safe for
-// concurrent use and no-ops on a nil receiver.
+// (256 B) allocated the first time a value lands in that octave and
+// kept densely in octave order, with bit b of present set iff octave b
+// has a block; numBlocks (59) fits the mask. An empty histogram is
+// ~100 B holding no block pointer, and one that has seen k octaves
+// adds k*256 B plus its k-entry block slice; Reset keeps the blocks.
+// The zero value is ready to use, and NewHistogram returns a pointer
+// to one. All methods are safe for concurrent use and no-ops on a nil
+// receiver.
 type Histogram struct {
-	mu     sync.Mutex
-	blocks [numBlocks]*[subBuckets]uint64
-	count  uint64
-	sum    int64
-	min    int64
-	max    int64
-	ex     Exemplar
+	mu      sync.Mutex
+	present uint64
+	blocks  []*[subBuckets]uint64 // one per set bit of present, ascending octave
+	count   uint64
+	sum     int64
+	min     int64
+	max     int64
+	ex      Exemplar
 }
 
 // NewHistogram returns an empty histogram.
@@ -107,12 +116,13 @@ func (h *Histogram) Record(v int64) {
 // value's octave block on first use. Caller holds h.mu.
 func (h *Histogram) recordLocked(v int64) {
 	idx := bucketOf(uint64(v))
-	blk := h.blocks[idx/subBuckets]
-	if blk == nil {
-		blk = new([subBuckets]uint64)
-		h.blocks[idx/subBuckets] = blk
+	bit := uint64(1) << (idx / subBuckets)
+	pos := bits.OnesCount64(h.present & (bit - 1))
+	if h.present&bit == 0 {
+		h.present |= bit
+		h.blocks = slices.Insert(h.blocks, pos, new([subBuckets]uint64))
 	}
-	blk[idx%subBuckets]++
+	h.blocks[pos][idx%subBuckets]++
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -207,15 +217,25 @@ func (h *Histogram) quantilesLocked(ps []float64, out []int64) {
 	for ; i < len(ps) && ps[i] <= 0; i++ {
 		out[i] = h.min
 	}
-	var cum uint64
-	for b, blk := range h.blocks {
-		if blk == nil {
-			continue
+	// rank is the order statistic ps[i] asks for, worked out once per
+	// p rather than once per bucket. p >= 1 never matches a bucket and
+	// is answered by Max after the walk.
+	rank := func() uint64 {
+		if i < len(ps) && ps[i] < 1 {
+			return uint64(ps[i] * float64(h.count-1))
 		}
+		return math.MaxUint64
+	}
+	var cum uint64
+	next := rank()
+	mask := h.present
+	for _, blk := range h.blocks {
+		b := bits.TrailingZeros64(mask)
+		mask &= mask - 1
 		for off, c := range blk {
-			cum += c
-			for ; i < len(ps) && ps[i] < 1 && cum > uint64(ps[i]*float64(h.count-1)); i++ {
+			for cum += c; cum > next; next = rank() {
 				out[i] = max(min(bucketUpper(b*subBuckets+off), h.max), h.min)
+				i++
 			}
 		}
 	}
@@ -231,9 +251,7 @@ func (h *Histogram) Reset() {
 	}
 	h.mu.Lock()
 	for _, blk := range h.blocks {
-		if blk != nil {
-			*blk = [subBuckets]uint64{}
-		}
+		*blk = [subBuckets]uint64{}
 	}
 	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
 	h.ex = Exemplar{}

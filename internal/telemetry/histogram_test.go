@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -222,27 +223,32 @@ func TestBucketRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHistogramFootprint pins the sparse layout: an empty histogram is
-// its block pointers plus a few words, not a dense bucket array.
+// TestHistogramFootprint pins the compact layout: an empty histogram
+// is a presence mask, one block-slice header and a few words, not a
+// pointer per octave.
 func TestHistogramFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(Histogram{}); size > 1024 {
-		t.Errorf("unsafe.Sizeof(Histogram{}) = %d B, want <= 1024", size)
+	if size := unsafe.Sizeof(Histogram{}); size > 128 {
+		t.Errorf("unsafe.Sizeof(Histogram{}) = %d B, want <= 128", size)
 	}
 }
 
-// denseHistogram is the dense-array layout the sparse blocks replace,
-// kept as the reference the equivalence test compares against.
+// denseHistogram is the reference model of the compact block index:
+// one directly indexed pointer slot per octave, the layout the
+// presence mask and the dense block slice replace.
 type denseHistogram struct {
-	counts          [numBuckets]uint64
+	blocks          [numBlocks]*[subBuckets]uint64
 	count           uint64
 	sum, minV, maxV int64
+	ex              Exemplar
 }
 
 func (d *denseHistogram) record(v int64) {
-	if v < 0 {
-		v = 0
+	v = max(v, 0)
+	idx := bucketOf(uint64(v))
+	if d.blocks[idx/subBuckets] == nil {
+		d.blocks[idx/subBuckets] = new([subBuckets]uint64)
 	}
-	d.counts[bucketOf(uint64(v))]++
+	d.blocks[idx/subBuckets][idx%subBuckets]++
 	if d.count == 0 || v < d.minV {
 		d.minV = v
 	}
@@ -253,46 +259,95 @@ func (d *denseHistogram) record(v int64) {
 	d.sum += v
 }
 
+func (d *denseHistogram) recordExemplar(v int64, traceID string, at int64) {
+	d.record(v)
+	v = max(v, 0)
+	if traceID != "" && (d.ex.TraceID == "" || v >= d.ex.Value || at-d.ex.AtUnixNano > exemplarMaxAgeNS) {
+		d.ex = Exemplar{TraceID: traceID, Value: v, AtUnixNano: at}
+	}
+}
+
 func (d *denseHistogram) quantile(p float64) int64 {
-	if d.count == 0 {
+	switch {
+	case d.count == 0:
 		return 0
-	}
-	if p <= 0 {
+	case p <= 0:
 		return d.minV
-	}
-	if p >= 1 {
+	case p >= 1:
 		return d.maxV
 	}
 	target := uint64(p * float64(d.count-1))
 	var cum uint64
-	for i := 0; i < numBuckets; i++ {
-		cum += d.counts[i]
-		if cum > target {
-			v := bucketUpper(i)
-			if v > d.maxV {
-				v = d.maxV
+	for b, blk := range d.blocks {
+		for off := 0; blk != nil && off < subBuckets; off++ {
+			if cum += blk[off]; cum > target {
+				return max(min(bucketUpper(b*subBuckets+off), d.maxV), d.minV)
 			}
-			if v < d.minV {
-				v = d.minV
-			}
-			return v
 		}
 	}
 	return d.maxV
 }
 
-func (d *denseHistogram) summary() Summary {
-	s := Summary{Count: d.count, Sum: d.sum, Min: d.minV, Max: d.maxV,
-		P50: d.quantile(0.50), P95: d.quantile(0.95), P99: d.quantile(0.99)}
-	if d.count > 0 {
-		s.Mean = float64(d.sum) / float64(d.count)
+func (d *denseHistogram) reset() {
+	for _, blk := range d.blocks {
+		if blk != nil {
+			*blk = [subBuckets]uint64{}
+		}
 	}
-	return s
+	d.count, d.sum, d.minV, d.maxV, d.ex = 0, 0, 0, 0, Exemplar{}
+}
+
+// checkAgainstDense requires h to answer every query exactly like the
+// model d, quantiles at each of ps, and to hold the same octave blocks
+// with the same counters in octave order.
+func checkAgainstDense(t *testing.T, stage string, h *Histogram, d *denseHistogram, ps []float64) {
+	t.Helper()
+	if h.Count() != d.count || h.Sum() != d.sum || h.Min() != d.minV || h.Max() != d.maxV {
+		t.Fatalf("%s: count/sum/min/max = %d/%d/%d/%d, want %d/%d/%d/%d", stage,
+			h.Count(), h.Sum(), h.Min(), h.Max(), d.count, d.sum, d.minV, d.maxV)
+	}
+	mean := 0.0
+	if d.count > 0 {
+		mean = float64(d.sum) / float64(d.count)
+	}
+	if got := h.Mean(); got != mean {
+		t.Fatalf("%s: Mean = %g, want %g", stage, got, mean)
+	}
+	for _, p := range ps {
+		if got, want := h.Quantile(p), d.quantile(p); got != want {
+			t.Fatalf("%s: Quantile(%g) = %d, want %d", stage, p, got, want)
+		}
+	}
+	want := Summary{Count: d.count, Sum: d.sum, Min: d.minV, Max: d.maxV, Mean: mean,
+		P50: d.quantile(0.50), P95: d.quantile(0.95), P99: d.quantile(0.99)}
+	if got := h.Summarize(); got != want {
+		t.Fatalf("%s: Summarize = %+v, want %+v", stage, got, want)
+	}
+	if ex, ok := h.Exemplar(); ex != d.ex || ok != (d.ex.TraceID != "") {
+		t.Fatalf("%s: Exemplar = %+v, %v, want %+v", stage, ex, ok, d.ex)
+	}
+	var present uint64
+	var blocks []*[subBuckets]uint64
+	for b, blk := range d.blocks {
+		if blk != nil {
+			present |= 1 << b
+			blocks = append(blocks, blk)
+		}
+	}
+	if h.present != present || len(h.blocks) != len(blocks) {
+		t.Fatalf("%s: present=%#x with %d blocks, want %#x with %d", stage,
+			h.present, len(h.blocks), present, len(blocks))
+	}
+	for i, blk := range blocks {
+		if *h.blocks[i] != *blk {
+			t.Fatalf("%s: block %d of %d holds %v, want %v", stage, i, len(blocks), *h.blocks[i], *blk)
+		}
+	}
 }
 
 // TestHistogramMatchesDenseReference records fixed-seed samples from
 // every octave, including the block edges and math.MaxInt64, and
-// requires the sparse histogram to answer exactly like the dense
+// requires the compact histogram to answer exactly like the dense
 // reference, before and after Reset.
 func TestHistogramMatchesDenseReference(t *testing.T) {
 	samples := []int64{-7, 0, 1, 31, 32, 33, math.MaxInt64}
@@ -314,41 +369,92 @@ func TestHistogramMatchesDenseReference(t *testing.T) {
 	}
 
 	grid := []float64{-1, 0, 1e-6, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 0.999999, 1, 2}
-	check := func(stage string, h *Histogram, d *denseHistogram) {
-		t.Helper()
-		if h.Count() != d.count || h.Sum() != d.sum || h.Min() != d.minV || h.Max() != d.maxV {
-			t.Fatalf("%s: count/sum/min/max = %d/%d/%d/%d, want %d/%d/%d/%d", stage,
-				h.Count(), h.Sum(), h.Min(), h.Max(), d.count, d.sum, d.minV, d.maxV)
-		}
-		for _, p := range grid {
-			if got, want := h.Quantile(p), d.quantile(p); got != want {
-				t.Fatalf("%s: Quantile(%g) = %d, want %d", stage, p, got, want)
-			}
-		}
-		if got, want := h.Summarize(), d.summary(); got != want {
-			t.Fatalf("%s: Summarize = %+v, want %+v", stage, got, want)
-		}
-	}
-
 	h, d := NewHistogram(), &denseHistogram{}
-	check("empty", h, d)
+	checkAgainstDense(t, "empty", h, d, grid)
 	for i, v := range samples {
 		h.Record(v)
 		d.record(v)
 		if i%97 == 0 {
-			check("prefix", h, d)
+			checkAgainstDense(t, "prefix", h, d, grid)
 		}
 	}
-	check("all", h, d)
+	checkAgainstDense(t, "all", h, d, grid)
 
 	h.Reset()
-	d = &denseHistogram{}
-	check("reset", h, d)
+	d.reset()
+	checkAgainstDense(t, "reset", h, d, grid)
 	for _, v := range samples[:len(samples)/3] {
 		h.Record(v)
 		d.record(v)
 	}
-	check("after reset", h, d)
+	checkAgainstDense(t, "after reset", h, d, grid)
+}
+
+// TestHistogramMatchesDenseReferenceRandomStreams drives the compact
+// histogram and the dense model with seeded random streams whose
+// octaves first appear in shuffled order, mixing in 0, small exact
+// values, values near math.MaxInt64, negative values, exemplar offers
+// (empty, stale and fresh trace ids) and a Reset midway, and requires
+// identical answers at p = 0, 1 and 200 random quantiles throughout.
+func TestHistogramMatchesDenseReferenceRandomStreams(t *testing.T) {
+	const ops = 1200
+	edges := []int64{-3, 0, 1, subBuckets - 1, subBuckets, math.MaxInt64 - 1, math.MaxInt64}
+	for seed := uint64(1); seed <= 12; seed++ {
+		rnd := sim.NewRand(seed)
+		ps := []float64{0, 1}
+		for len(ps) < 202 {
+			ps = append(ps, rnd.Float64())
+		}
+		order := make([]int, numBlocks)
+		for i := range order {
+			order[i] = i
+		}
+		for i := len(order) - 1; i > 0; i-- {
+			j := rnd.Intn(i + 1)
+			order[i], order[j] = order[j], order[i]
+		}
+		// A value in octave block b: [0, 32) for b = 0, otherwise
+		// [2^(b+4), 2^(b+5)), which for the last block ends at MaxInt64.
+		inOctave := func(b int) int64 {
+			if b == 0 {
+				return rnd.Int63n(subBuckets)
+			}
+			lo := int64(1) << (b + log2SubBuckets - 1)
+			return lo + rnd.Int63n(lo)
+		}
+
+		h, d := NewHistogram(), &denseHistogram{}
+		stage := func(i int) string { return "seed " + strconv.FormatUint(seed, 10) + " op " + strconv.Itoa(i) }
+		for i := 0; i < ops; i++ {
+			if i == ops/2 {
+				h.Reset()
+				d.reset()
+				checkAgainstDense(t, stage(i)+" reset", h, d, ps)
+			}
+			// Open a new octave every ~10 ops, in shuffled order.
+			v := inOctave(order[rnd.Intn(min(numBlocks, 1+i%(ops/2)/10))])
+			if rnd.Intn(8) == 0 {
+				v = edges[rnd.Intn(len(edges))]
+			}
+			switch rnd.Intn(4) {
+			case 0:
+				at := int64(i) * 1_000_000_000 // stale after ~10 ops
+				id := ""
+				if rnd.Intn(4) != 0 {
+					id = "trace-" + strconv.Itoa(i)
+				}
+				h.RecordExemplar(v, id, at)
+				d.recordExemplar(v, id, at)
+			default:
+				h.Record(v)
+				d.record(v)
+			}
+			if i%150 == 0 {
+				checkAgainstDense(t, stage(i), h, d, ps)
+			}
+		}
+		checkAgainstDense(t, stage(ops), h, d, ps)
+	}
 }
 
 // TestHistogramRecordAllocs: recording into an octave whose block
@@ -400,5 +506,37 @@ func TestHistogramSummarizeNotTorn(t *testing.T) {
 		if s.Count > 0 && !(s.Min <= s.P50 && s.P50 <= s.P95 && s.P95 <= s.P99 && s.P99 <= s.Max) {
 			t.Fatalf("unordered summary: %+v", s)
 		}
+	}
+}
+
+// BenchmarkHistogramRecord records values spread over 20 octaves into
+// a histogram whose blocks already exist, the audit's steady state.
+func BenchmarkHistogramRecord(b *testing.B) {
+	var h Histogram
+	vals := make([]int64, 1024)
+	rnd := sim.NewRand(3)
+	for i := range vals {
+		vals[i] = rnd.Int63n(1 << uint(1+rnd.Intn(20)))
+		h.Record(vals[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Record(vals[i%len(vals)])
+	}
+}
+
+// BenchmarkHistogramSummarize digests a histogram that has seen 20
+// octaves: one locked walk over every allocated block.
+func BenchmarkHistogramSummarize(b *testing.B) {
+	var h Histogram
+	rnd := sim.NewRand(3)
+	for i := 0; i < 1024; i++ {
+		h.Record(rnd.Int63n(1 << uint(1+rnd.Intn(20))))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Summarize()
 	}
 }
