@@ -20,11 +20,11 @@
 // Observations are pushed from the simulation goroutine; snapshots may
 // be pulled concurrently from an exporter goroutine (see Server). All
 // mutable state is mutex-guarded with locks never held across
-// callbacks. After registration the observe path allocates only the
-// first time one of an app's histograms reaches a new octave (one
-// 256 B block, at most 59 per histogram, and a longer block slice
-// when the old one is full); steady-state observation
-// allocates nothing, preserving the repository's hot-path guarantees.
+// callbacks. After registration the observe path allocates only when
+// one of an app's histograms sees its first value in a sub-bucket and
+// its index slice is full (one counter, plus a header for a new
+// octave); steady-state observation allocates nothing, preserving the
+// repository's hot-path guarantees.
 package audit
 
 import (

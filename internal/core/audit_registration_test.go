@@ -185,8 +185,8 @@ func TestEnableAuditAllocation(t *testing.T) {
 // TestBigMeshSetupAllocBudget gates what the big mesh costs before its
 // first event: one BuildPlatform plus EnableAudit, the setup a bigmesh
 // run pays, within 2.5 MiB and 16k heap objects. Every audited app
-// registers one allocation and a histogram holds no block until it
-// records, so an eager per-app or per-octave allocation fails here.
+// registers one allocation and a histogram holds no counter until it
+// records, so an eager per-app or per-bucket allocation fails here.
 func TestBigMeshSetupAllocBudget(t *testing.T) {
 	const maxBytes, maxObjects = 5 << 20 / 2, 16_000 // 2.5 MiB
 	var before, after runtime.MemStats
@@ -204,6 +204,40 @@ func TestBigMeshSetupAllocBudget(t *testing.T) {
 	if bytes > maxBytes || objects > maxObjects {
 		t.Errorf("big-mesh setup allocated %d B in %d objects, want <= %d B and <= %d objects",
 			bytes, objects, maxBytes, maxObjects)
+	}
+}
+
+// TestBigMeshRunHeapBudget gates the live heap a big-mesh run holds
+// after its 50 us horizon: BuildPlatform with telemetry, EnableAudit,
+// StartApps and RunFor, then a full GC. That heap sets the collector's
+// goal for the snapshot and dump that follow, so it bounds a bigmesh
+// run's peak RSS. The run fills 5120 latency histograms (the
+// auditor's eight per app, one per app, one per DRAM master) with
+// ~5 touched sub-buckets each, so a histogram that held one 256 B
+// block per touched octave (12k blocks here) fails the gate.
+func TestBigMeshRunHeapBudget(t *testing.T) {
+	const maxBytes = 4 << 20
+	spec := BigMeshSpec(0)
+	spec.Telemetry = true
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p, _, err := BuildPlatform(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.EnableAudit(AuditOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	p.StartApps()
+	p.RunFor(spec.Duration)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("big-mesh live heap after a %v run: %d B", spec.Duration, live)
+	if live > maxBytes {
+		t.Errorf("big-mesh run holds %d B of live heap, want <= %d B", live, maxBytes)
 	}
 }
 

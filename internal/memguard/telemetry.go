@@ -16,6 +16,25 @@ type telemetryState struct {
 
 	cRequests  *telemetry.Counter
 	cThrottles *telemetry.Counter
+
+	// mons caches each entity's "mem:<name>" monitor by bare name, so
+	// the per-request hooks skip building the key and the set's
+	// lock+map.
+	mons map[string]*telemetry.Monitor
+}
+
+// monitor returns (resolving on the entity's first request) its
+// monitor, nil without a monitor set.
+func (ts *telemetryState) monitor(name string) *telemetry.Monitor {
+	if ts.mon == nil {
+		return nil
+	}
+	m := ts.mons[name]
+	if m == nil {
+		m = ts.mon.Monitor("mem:" + name)
+		ts.mons[name] = m
+	}
+	return m
 }
 
 // SetTelemetry attaches a metrics registry, tracer, and monitor set.
@@ -25,7 +44,7 @@ func (r *Regulator) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer, 
 		r.tel = nil
 		return
 	}
-	ts := &telemetryState{reg: reg, tr: tr, mon: mon}
+	ts := &telemetryState{reg: reg, tr: tr, mon: mon, mons: make(map[string]*telemetry.Monitor)}
 	if reg != nil {
 		ts.cRequests = reg.Counter("memguard.requests")
 		ts.cThrottles = reg.Counter("memguard.throttle_events")
@@ -41,7 +60,7 @@ func (r *Regulator) traceSubmit(name string) {
 		return
 	}
 	ts.cRequests.Inc()
-	ts.mon.Monitor("mem:" + name).TxnStart()
+	ts.monitor(name).TxnStart()
 }
 
 // traceGrant records a request proceeding to the memory system. The
@@ -52,7 +71,7 @@ func (r *Regulator) traceGrant(name string, bytes int, submit, grant sim.Time) {
 	if ts == nil {
 		return
 	}
-	m := ts.mon.Monitor("mem:" + name)
+	m := ts.monitor(name)
 	m.AddBytes(grant, bytes)
 	m.TxnEnd()
 	if ts.tr != nil {

@@ -65,3 +65,33 @@ func TestTelemetryDisabledRegulatorUnchanged(t *testing.T) {
 		t.Error("pass-through request did not run")
 	}
 }
+
+// TestTelemetryWarmRequestAllocatesNothing: once an entity's monitor is
+// resolved, an instrumented request, regulated or pass-through, builds
+// no key and allocates nothing.
+func TestTelemetryWarmRequestAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	r, err := New(eng, Config{Period: sim.Millisecond, InterruptOverhead: sim.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := telemetry.NewMonitorSet(sim.Millisecond)
+	r.SetTelemetry(telemetry.NewRegistry(), nil, mon)
+	if err := r.SetBudget("crit", 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	req := func() {
+		r.Request("crit", 64, nil)
+		r.Request("free", 64, nil)
+	}
+	req()
+	if a := testing.AllocsPerRun(100, req); a != 0 {
+		t.Errorf("warm instrumented Request: %v allocs/run, want 0", a)
+	}
+	if got := mon.Monitor("mem:crit").TotalBytes(); got != 102*64 {
+		t.Errorf("crit monitor bytes = %d, want %d", got, 102*64)
+	}
+	if got := mon.Names(); len(got) != 2 || got[0] != "mem:crit" || got[1] != "mem:free" {
+		t.Errorf("monitors = %v, want [mem:crit mem:free]", got)
+	}
+}

@@ -32,6 +32,25 @@ type telemetryState struct {
 	// byte layout.
 	latOn    bool
 	latHists map[string]*telemetry.Histogram
+
+	// mons caches each flow's "noc:<flow>" monitor by flow label, so
+	// the per-packet hooks skip building the key and the set's
+	// lock+map.
+	mons map[string]*telemetry.Monitor
+}
+
+// monitor returns (resolving on the flow's first packet) its monitor,
+// nil without a monitor set.
+func (ts *telemetryState) monitor(flow string) *telemetry.Monitor {
+	if ts.mon == nil {
+		return nil
+	}
+	m := ts.mons[flow]
+	if m == nil {
+		m = ts.mon.Monitor("noc:" + flow)
+		ts.mons[flow] = m
+	}
+	return m
 }
 
 // latHist returns (creating on first delivery) the flow's
@@ -76,7 +95,8 @@ func (n *NoC) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer, mon *t
 		return
 	}
 	multi := n.par != nil && n.par.Partitions() > 1
-	ts := &telemetryState{reg: reg, tr: tr, mon: mon, multi: multi, latHists: make(map[string]*telemetry.Histogram)}
+	ts := &telemetryState{reg: reg, tr: tr, mon: mon, multi: multi,
+		latHists: make(map[string]*telemetry.Histogram), mons: make(map[string]*telemetry.Monitor)}
 	if reg != nil {
 		ts.cDelivered = reg.Counter("noc.delivered")
 		ts.cFlitHops = reg.Counter("noc.flit_hops")
@@ -106,7 +126,7 @@ func (n *NoC) traceSubmit(p *Packet) {
 	if ts == nil || ts.multi {
 		return
 	}
-	ts.mon.Monitor("noc:" + flowLabel(p)).TxnStart()
+	ts.monitor(flowLabel(p)).TxnStart()
 }
 
 // traceDeliver records a tail-flit ejection: a per-flow span covering
@@ -118,7 +138,7 @@ func (n *NoC) traceDeliver(p *Packet, at sim.Time) {
 	}
 	ts.cDelivered.Inc()
 	flow := flowLabel(p)
-	m := ts.mon.Monitor("noc:" + flow)
+	m := ts.monitor(flow)
 	m.AddBytes(at, p.Bytes)
 	m.TxnEnd()
 	ts.latHist(flow).Record(int64(at - p.Submitted))

@@ -47,6 +47,36 @@ func TestTelemetrySpansAndMonitors(t *testing.T) {
 	}
 }
 
+// TestTelemetryWarmDeliveryAllocatesNothing: once a flow's monitor and
+// latency histogram are resolved, the per-packet submit and delivery
+// hooks build no key and allocate nothing.
+func TestTelemetryWarmDeliveryAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	n, err := New(eng, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	mon := telemetry.NewMonitorSet(sim.Microsecond)
+	n.SetTelemetry(reg, nil, mon)
+	n.EnableFlowLatencyHistograms()
+	p := &Packet{Flow: "crit", Bytes: 64}
+	hooks := func() {
+		n.traceSubmit(p)
+		n.traceDeliver(p, 1000)
+	}
+	hooks()
+	if a := testing.AllocsPerRun(100, hooks); a != 0 {
+		t.Errorf("warm submit+delivery hooks: %v allocs/run, want 0", a)
+	}
+	if got := mon.Monitor("noc:crit").Events(); got != 102 {
+		t.Errorf("noc:crit monitor events = %d, want 102", got)
+	}
+	if got := reg.Histogram("noc.latency.crit").Count(); got != 102 {
+		t.Errorf("noc.latency.crit count = %d, want 102", got)
+	}
+}
+
 func TestTelemetryDisabledNoOverheadPath(t *testing.T) {
 	eng := sim.NewEngine()
 	n, err := New(eng, DefaultConfig())

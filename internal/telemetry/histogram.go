@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -46,27 +45,35 @@ const (
 )
 
 // numBlocks is the number of octave blocks: the exact block plus one
-// per power-of-two range, subBuckets counters each.
+// per power-of-two range, subBuckets sub-buckets each.
 const numBlocks = numBuckets / subBuckets
 
-// Compile-time check that Histogram.present has a bit per octave block.
-var _ [64 - numBlocks]struct{}
+// Compile-time checks that Histogram.present has a bit per octave
+// block and a header's low half a bit per sub-bucket.
+var (
+	_ [64 - numBlocks]struct{}
+	_ [32 - subBuckets]struct{}
+)
 
 // Histogram is a fixed-geometry log-scale histogram with O(1) Record
 // and O(touched buckets) quantile queries. Negative values are clamped
-// to zero. Counters live in per-octave blocks of subBuckets uint64s
-// (256 B) allocated the first time a value lands in that octave and
-// kept densely in octave order, with bit b of present set iff octave b
-// has a block; numBlocks (59) fits the mask. An empty histogram is
-// ~100 B holding no block pointer, and one that has seen k octaves
-// adds k*256 B plus its k-entry block slice; Reset keeps the blocks.
-// The zero value is ready to use, and NewHistogram returns a pointer
-// to one. All methods are safe for concurrent use and no-ops on a nil
-// receiver.
+// to zero. It holds one counter per sub-bucket that has seen a value,
+// indexed in two levels: bit b of present is set iff octave block b
+// (numBlocks = 59 fit the mask) has a touched sub-bucket, and idx
+// starts with one header per set bit of present, in ascending octave
+// order, followed by the counters, dense in ascending bucket order. A
+// header's low 32 bits are its octave's sub-bucket mask and its high
+// 32 bits the position in idx of the octave's first counter, so Record
+// finds a counter with two popcounts. An empty histogram is 104 B
+// holding no slice; one that has touched k sub-buckets in j octaves
+// adds j+k 8 B words plus append's growth slack. Reset zeroes the
+// counters and keeps the index. The zero value is ready to use, and
+// NewHistogram returns a pointer to one. All methods are safe for
+// concurrent use and no-ops on a nil receiver.
 type Histogram struct {
 	mu      sync.Mutex
 	present uint64
-	blocks  []*[subBuckets]uint64 // one per set bit of present, ascending octave
+	idx     []uint64 // headers, one per set bit of present, then counters
 	count   uint64
 	sum     int64
 	min     int64
@@ -112,17 +119,22 @@ func (h *Histogram) Record(v int64) {
 	h.mu.Unlock()
 }
 
-// recordLocked adds one non-negative observation, allocating the
-// value's octave block on first use. Caller holds h.mu.
+// recordLocked adds one non-negative observation, inserting the
+// value's counter on first use. Caller holds h.mu.
 func (h *Histogram) recordLocked(v int64) {
-	idx := bucketOf(uint64(v))
-	bit := uint64(1) << (idx / subBuckets)
-	pos := bits.OnesCount64(h.present & (bit - 1))
-	if h.present&bit == 0 {
-		h.present |= bit
-		h.blocks = slices.Insert(h.blocks, pos, new([subBuckets]uint64))
+	b := bucketOf(uint64(v))
+	obit := uint64(1) << (b / subBuckets)
+	sbit := uint32(1) << (b % subBuckets)
+	o := bits.OnesCount64(h.present & (obit - 1))
+	var hdr uint64
+	if h.present&obit != 0 {
+		hdr = h.idx[o]
 	}
-	h.blocks[pos][idx%subBuckets]++
+	if uint32(hdr)&sbit == 0 {
+		h.insert(obit, sbit, o)
+		hdr = h.idx[o]
+	}
+	h.idx[int(hdr>>32)+bits.OnesCount32(uint32(hdr)&(sbit-1))]++
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -131,6 +143,32 @@ func (h *Histogram) recordLocked(v int64) {
 	}
 	h.count++
 	h.sum += v
+}
+
+// insert adds a zero counter for sub-bucket sbit of octave obit, whose
+// header is (or, if the octave is new, goes) at idx[o], and moves the
+// first-counter positions of the headers it shifts. Caller holds h.mu.
+func (h *Histogram) insert(obit uint64, sbit uint32, o int) {
+	if h.present&obit == 0 {
+		// The new octave's counters go where the next octave's start,
+		// or at the end; the new header then shifts every counter up
+		// one slot.
+		first := uint64(len(h.idx))
+		if h.present > obit {
+			first = h.idx[o] >> 32
+		}
+		h.present |= obit
+		h.idx = slices.Insert(h.idx, o, first<<32)
+		for j := range bits.OnesCount64(h.present) {
+			h.idx[j] += 1 << 32
+		}
+	}
+	hdr := h.idx[o]
+	h.idx = slices.Insert(h.idx, int(hdr>>32)+bits.OnesCount32(uint32(hdr)&(sbit-1)), 0)
+	h.idx[o] |= uint64(sbit)
+	for j := o + 1; j < bits.OnesCount64(h.present); j++ {
+		h.idx[j] += 1 << 32
+	}
 }
 
 // Count returns the number of recorded observations.
@@ -206,7 +244,7 @@ func (h *Histogram) Quantile(p float64) int64 {
 }
 
 // quantilesLocked sets out[i] to the ps[i]-quantile (see Quantile) in
-// one walk over the allocated blocks; ps must be ascending. Caller
+// one walk over the touched sub-buckets; ps must be ascending. Caller
 // holds h.mu.
 func (h *Histogram) quantilesLocked(ps []float64, out []int64) {
 	if h.count == 0 {
@@ -217,42 +255,42 @@ func (h *Histogram) quantilesLocked(ps []float64, out []int64) {
 	for ; i < len(ps) && ps[i] <= 0; i++ {
 		out[i] = h.min
 	}
-	// rank is the order statistic ps[i] asks for, worked out once per
-	// p rather than once per bucket. p >= 1 never matches a bucket and
-	// is answered by Max after the walk.
-	rank := func() uint64 {
-		if i < len(ps) && ps[i] < 1 {
-			return uint64(ps[i] * float64(h.count-1))
-		}
-		return math.MaxUint64
-	}
+	n := bits.OnesCount64(h.present)
+	counters := h.idx[n:]
 	var cum uint64
-	next := rank()
-	mask := h.present
-	for _, blk := range h.blocks {
-		b := bits.TrailingZeros64(mask)
-		mask &= mask - 1
-		for off, c := range blk {
-			for cum += c; cum > next; next = rank() {
-				out[i] = max(min(bucketUpper(b*subBuckets+off), h.max), h.min)
-				i++
-			}
+	// counters[:j] are summed into cum; idx[o] is the header of the
+	// octave holding counters[j-1], and that octave is mask's lowest bit.
+	j, o, mask := 0, 0, h.present
+	for ; i < len(ps) && ps[i] < 1; i++ {
+		// The counters sum to count, so the walk stops at the counter
+		// holding the order statistic, before running off the end.
+		for rank := uint64(ps[i] * float64(h.count-1)); cum <= rank; j++ {
+			cum += counters[j]
 		}
+		for o+1 < n && int(h.idx[o+1]>>32) < n+j {
+			o++
+			mask &= mask - 1
+		}
+		sub := uint32(h.idx[o])
+		for k := n + j - 1 - int(h.idx[o]>>32); k > 0; k-- {
+			sub &= sub - 1
+		}
+		b := bits.TrailingZeros64(mask)*subBuckets + bits.TrailingZeros32(sub)
+		out[i] = max(min(bucketUpper(b), h.max), h.min)
 	}
 	for ; i < len(ps); i++ {
 		out[i] = h.max
 	}
 }
 
-// Reset clears all recorded observations (and any held exemplar).
+// Reset clears all recorded observations (and any held exemplar),
+// keeping the index of touched sub-buckets.
 func (h *Histogram) Reset() {
 	if h == nil {
 		return
 	}
 	h.mu.Lock()
-	for _, blk := range h.blocks {
-		*blk = [subBuckets]uint64{}
-	}
+	clear(h.idx[bits.OnesCount64(h.present):])
 	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
 	h.ex = Exemplar{}
 	h.mu.Unlock()

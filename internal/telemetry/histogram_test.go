@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -224,19 +226,23 @@ func TestBucketRoundTrip(t *testing.T) {
 }
 
 // TestHistogramFootprint pins the compact layout: an empty histogram
-// is a presence mask, one block-slice header and a few words, not a
+// is a presence mask, one index-slice header and a few words, not a
 // pointer per octave.
 func TestHistogramFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(Histogram{}); size > 128 {
+	size := unsafe.Sizeof(Histogram{})
+	t.Logf("unsafe.Sizeof(Histogram{}) = %d B", size)
+	if size > 128 {
 		t.Errorf("unsafe.Sizeof(Histogram{}) = %d B, want <= 128", size)
 	}
 }
 
-// denseHistogram is the reference model of the compact block index:
-// one directly indexed pointer slot per octave, the layout the
-// presence mask and the dense block slice replace.
+// denseHistogram is the reference model of the sub-bucket index: one
+// directly indexed counter per bucket, plus a flag per bucket that has
+// ever seen a value (Reset keeps the flags, as the index keeps its
+// counters).
 type denseHistogram struct {
-	blocks          [numBlocks]*[subBuckets]uint64
+	counts          [numBuckets]uint64
+	touched         [numBuckets]bool
 	count           uint64
 	sum, minV, maxV int64
 	ex              Exemplar
@@ -245,10 +251,8 @@ type denseHistogram struct {
 func (d *denseHistogram) record(v int64) {
 	v = max(v, 0)
 	idx := bucketOf(uint64(v))
-	if d.blocks[idx/subBuckets] == nil {
-		d.blocks[idx/subBuckets] = new([subBuckets]uint64)
-	}
-	d.blocks[idx/subBuckets][idx%subBuckets]++
+	d.counts[idx]++
+	d.touched[idx] = true
 	if d.count == 0 || v < d.minV {
 		d.minV = v
 	}
@@ -278,28 +282,24 @@ func (d *denseHistogram) quantile(p float64) int64 {
 	}
 	target := uint64(p * float64(d.count-1))
 	var cum uint64
-	for b, blk := range d.blocks {
-		for off := 0; blk != nil && off < subBuckets; off++ {
-			if cum += blk[off]; cum > target {
-				return max(min(bucketUpper(b*subBuckets+off), d.maxV), d.minV)
-			}
+	for idx, c := range d.counts {
+		if cum += c; cum > target {
+			return max(min(bucketUpper(idx), d.maxV), d.minV)
 		}
 	}
 	return d.maxV
 }
 
 func (d *denseHistogram) reset() {
-	for _, blk := range d.blocks {
-		if blk != nil {
-			*blk = [subBuckets]uint64{}
-		}
-	}
+	d.counts = [numBuckets]uint64{}
 	d.count, d.sum, d.minV, d.maxV, d.ex = 0, 0, 0, 0, Exemplar{}
 }
 
 // checkAgainstDense requires h to answer every query exactly like the
-// model d, quantiles at each of ps, and to hold the same octave blocks
-// with the same counters in octave order.
+// model d, quantiles at each of ps, and its index to hold exactly one
+// counter per touched sub-bucket, in ascending bucket order, with the
+// model's counts: one header per touched octave, carrying the octave's
+// sub-bucket mask and the position of its first counter.
 func checkAgainstDense(t *testing.T, stage string, h *Histogram, d *denseHistogram, ps []float64) {
 	t.Helper()
 	if h.Count() != d.count || h.Sum() != d.sum || h.Min() != d.minV || h.Max() != d.maxV {
@@ -326,22 +326,37 @@ func checkAgainstDense(t *testing.T, stage string, h *Histogram, d *denseHistogr
 	if ex, ok := h.Exemplar(); ex != d.ex || ok != (d.ex.TraceID != "") {
 		t.Fatalf("%s: Exemplar = %+v, %v, want %+v", stage, ex, ok, d.ex)
 	}
+
+	// The index the model implies: headers, then counters.
 	var present uint64
-	var blocks []*[subBuckets]uint64
-	for b, blk := range d.blocks {
-		if blk != nil {
+	var masks []uint64
+	var counters []uint64
+	for b := 0; b < numBlocks; b++ {
+		var mask uint64
+		for off := 0; off < subBuckets; off++ {
+			if idx := b*subBuckets + off; d.touched[idx] {
+				mask |= 1 << off
+				counters = append(counters, d.counts[idx])
+			}
+		}
+		if mask != 0 {
 			present |= 1 << b
-			blocks = append(blocks, blk)
+			masks = append(masks, mask)
 		}
 	}
-	if h.present != present || len(h.blocks) != len(blocks) {
-		t.Fatalf("%s: present=%#x with %d blocks, want %#x with %d", stage,
-			h.present, len(h.blocks), present, len(blocks))
+	if h.present != present || len(h.idx) != len(masks)+len(counters) {
+		t.Fatalf("%s: present=%#x with %d index words, want %#x with %d headers and %d counters", stage,
+			h.present, len(h.idx), present, len(masks), len(counters))
 	}
-	for i, blk := range blocks {
-		if *h.blocks[i] != *blk {
-			t.Fatalf("%s: block %d of %d holds %v, want %v", stage, i, len(blocks), *h.blocks[i], *blk)
+	first := len(masks)
+	for i, mask := range masks {
+		if got, want := h.idx[i], uint64(first)<<32|mask; got != want {
+			t.Fatalf("%s: header %d = %#x, want %#x", stage, i, got, want)
 		}
+		first += bits.OnesCount64(mask)
+	}
+	if got := h.idx[len(masks):]; !slices.Equal(got, counters) {
+		t.Fatalf("%s: counters %v, want %v", stage, got, counters)
 	}
 }
 
@@ -457,8 +472,58 @@ func TestHistogramMatchesDenseReferenceRandomStreams(t *testing.T) {
 	}
 }
 
-// TestHistogramRecordAllocs: recording into an octave whose block
-// exists allocates nothing, and Reset keeps the blocks.
+// TestHistogramMatchesDenseReferenceDescendingStreams opens buckets in
+// the orders that move the index most: octaves first seen from the top
+// down, so every new header goes in front of the others, and
+// sub-buckets within an octave from the top down, so every new counter
+// goes in front of its octave's and shifts the first-counter position
+// of each later octave. Each stream is recorded at its buckets' lower
+// bounds, then again at their upper bounds after a Reset.
+func TestHistogramMatchesDenseReferenceDescendingStreams(t *testing.T) {
+	var octaves, subs, both []int
+	for b := numBlocks - 1; b >= 0; b-- {
+		octaves = append(octaves, b*subBuckets+b*7%subBuckets)
+	}
+	// Open octaves 3, 7 and 12, then fill 7 and 3 from the top down.
+	subs = []int{3 * subBuckets, 7*subBuckets + 5, 12 * subBuckets}
+	for _, b := range []int{7, 3} {
+		for off := subBuckets - 1; off >= 0; off-- {
+			subs = append(subs, b*subBuckets+off)
+		}
+	}
+	for idx := numBuckets - 1; idx >= 0; idx-- {
+		both = append(both, idx)
+	}
+	lower := func(idx int) int64 {
+		if idx == 0 {
+			return 0
+		}
+		return bucketUpper(idx-1) + 1
+	}
+	grid := []float64{0, 0.01, 0.25, 0.5, 0.75, 0.99, 1}
+	for name, stream := range map[string][]int{"octaves": octaves, "sub-buckets": subs, "both": both} {
+		h, d := NewHistogram(), &denseHistogram{}
+		for i, idx := range stream {
+			h.Record(lower(idx))
+			d.record(lower(idx))
+			if len(stream) < 100 || i%37 == 0 {
+				checkAgainstDense(t, name+" record "+strconv.Itoa(i), h, d, grid)
+			}
+		}
+		checkAgainstDense(t, name, h, d, grid)
+		h.Reset()
+		d.reset()
+		checkAgainstDense(t, name+" reset", h, d, grid)
+		for _, idx := range stream {
+			h.Record(bucketUpper(idx))
+			d.record(bucketUpper(idx))
+		}
+		checkAgainstDense(t, name+" after reset", h, d, grid)
+	}
+}
+
+// TestHistogramRecordAllocs: recording into a sub-bucket that has its
+// counter allocates nothing, and Reset keeps the counters.
 func TestHistogramRecordAllocs(t *testing.T) {
 	var h Histogram // the zero value is ready to use
 	h.Record(1000)
@@ -468,7 +533,7 @@ func TestHistogramRecordAllocs(t *testing.T) {
 		h.Record(5)
 	}
 	if a := testing.AllocsPerRun(100, rec); a != 0 {
-		t.Errorf("Record into touched octaves: %v allocs/run, want 0", a)
+		t.Errorf("Record into touched sub-buckets: %v allocs/run, want 0", a)
 	}
 	h.Reset()
 	if a := testing.AllocsPerRun(100, rec); a != 0 {
@@ -510,7 +575,7 @@ func TestHistogramSummarizeNotTorn(t *testing.T) {
 }
 
 // BenchmarkHistogramRecord records values spread over 20 octaves into
-// a histogram whose blocks already exist, the audit's steady state.
+// a histogram whose counters already exist, the audit's steady state.
 func BenchmarkHistogramRecord(b *testing.B) {
 	var h Histogram
 	vals := make([]int64, 1024)
@@ -527,7 +592,7 @@ func BenchmarkHistogramRecord(b *testing.B) {
 }
 
 // BenchmarkHistogramSummarize digests a histogram that has seen 20
-// octaves: one locked walk over every allocated block.
+// octaves: one locked walk over every touched sub-bucket.
 func BenchmarkHistogramSummarize(b *testing.B) {
 	var h Histogram
 	rnd := sim.NewRand(3)
@@ -538,5 +603,19 @@ func BenchmarkHistogramSummarize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Summarize()
+	}
+}
+
+// BenchmarkHistogramFirstValues records 6 values over 3 octaves into a
+// fresh histogram, the audit's per-app pattern on the big mesh: every
+// value opens a sub-bucket and every other one an octave.
+func BenchmarkHistogramFirstValues(b *testing.B) {
+	vals := []int64{70_000, 40_000, 150_000, 45_000, 90_000, 190_000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h := NewHistogram()
+		for _, v := range vals {
+			h.Record(v)
+		}
 	}
 }
