@@ -9,13 +9,20 @@
 // Usage:
 //
 //	rmd [-listen 127.0.0.1:9092] [-shards 4] [-queue 64]
-//	    [-maxbatch 8192] [-publish 1s] [-store DIR]
+//	    [-maxbatch 8192] [-store DIR]
 //	    [-trace-sample 0] [-trace-ring 8192] [-trace FILE]
 //
-// -store appends a KindService session record (decision counts,
-// latency quantiles, throttle/breaker totals) to the cross-run obs
-// store when the daemon exits, and feeds /slo from the same store's
-// history evaluated against obs.ServiceSLOs.
+// The observability endpoints render on read: /metrics renders the
+// fleet's registry, /progress its stats snapshot, and /slo evaluates
+// the store, each when a GET arrives. An rmd nobody scrapes renders
+// nothing.
+//
+// -store opens the cross-run obs store once at start-up. /slo
+// evaluates the store's history against obs.ServiceSLOs on each GET,
+// re-reading the log, so records other processes (rmload) append
+// show up at once. When the daemon exits it appends a KindService
+// session record (decision counts, latency quantiles,
+// throttle/breaker totals) to the same store.
 //
 // -trace-sample enables request-scoped wall-clock tracing
 // (internal/wtrace): each /v1/* request is head-sampled at the given
@@ -65,7 +72,6 @@ func run() error {
 		shards      = flag.Int("shards", 4, "number of RM shard loops")
 		queue       = flag.Int("queue", 64, "per-shard pending-batch queue depth")
 		maxBatch    = flag.Int("maxbatch", 8192, "max operations per batch request")
-		publish     = flag.Duration("publish", time.Second, "metrics/SLO publish interval")
 		storeDir    = flag.String("store", "", "obs store directory (session record on exit, /slo history)")
 		traceSample = flag.Float64("trace-sample", 0, "head-sampling probability for request traces (0 = off)")
 		traceRing   = flag.Int("trace-ring", 0, "completed spans retained for /v1/traces (0 = default 8192)")
@@ -86,34 +92,32 @@ func run() error {
 		Registry:  reg,
 	})
 
-	srv, err := audit.NewServer(*listen)
+	var store *obs.Store
+	var slo func() (any, error)
+	if *storeDir != "" {
+		var err error
+		if store, err = obs.Open(*storeDir); err != nil {
+			return fmt.Errorf("-store: %w", err)
+		}
+		defer store.Close()
+		slo = func() (any, error) { return obs.EvaluateStore(store, obs.ServiceSLOs()) }
+	}
+
+	start := time.Now()
+	progress := func() any {
+		return struct {
+			UptimeSec float64        `json:"uptime_sec"`
+			Stats     rmserver.Stats `json:"stats"`
+		}{time.Since(start).Seconds(), fleet.Snapshot()}
+	}
+	srv, err := audit.NewServer(*listen, reg.WriteOpenMetrics, progress, slo)
 	if err != nil {
 		return err
 	}
 	srv.Handle("/v1/", rmserver.NewTracedHandler(fleet, tracer))
 
-	start := time.Now()
 	fmt.Printf("rmd: serving on http://%s (%d shards, queue %d, max batch %d)\n",
 		srv.Addr(), *shards, *queue, *maxBatch)
-
-	// Publisher: render the OpenMetrics exposition, a progress
-	// snapshot, and (with -store) the SLO report on a fixed cadence,
-	// off the request path.
-	stopPub := make(chan struct{})
-	pubDone := make(chan struct{})
-	go func() {
-		defer close(pubDone)
-		tick := time.NewTicker(*publish)
-		defer tick.Stop()
-		for {
-			publishOnce(srv, fleet, *storeDir, start)
-			select {
-			case <-tick.C:
-			case <-stopPub:
-				return
-			}
-		}
-	}()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
@@ -121,16 +125,13 @@ func run() error {
 	fmt.Printf("rmd: %s received, draining\n", s)
 
 	// Drain order matters: stop accepting first (no new work), then
-	// finish every queued batch, then stop the publisher and write the
-	// session record.
+	// finish every queued batch, then write the session record.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
 	fleet.Drain()
-	close(stopPub)
-	<-pubDone
 
 	st := fleet.Snapshot()
 	fmt.Printf("rmd: drained cleanly: %d decisions in %d batches, %d throttled, %d rejects, breaker %s (%d opens)\n",
@@ -142,33 +143,12 @@ func run() error {
 		}
 	}
 
-	if *storeDir != "" {
-		if err := recordSession(*storeDir, reg, st, time.Since(start)); err != nil {
+	if store != nil {
+		if err := recordSession(store, reg, st, time.Since(start)); err != nil {
 			return fmt.Errorf("session record: %w", err)
 		}
 	}
 	return nil
-}
-
-// publishOnce refreshes the /metrics, /progress, and /slo payloads.
-func publishOnce(srv *audit.Server, fleet *rmserver.Fleet, storeDir string, start time.Time) {
-	srv.PublishMetrics(fleet.Registry().WriteOpenMetrics)
-	st := fleet.Snapshot()
-	srv.PublishProgress(struct {
-		UptimeSec float64        `json:"uptime_sec"`
-		Stats     rmserver.Stats `json:"stats"`
-	}{time.Since(start).Seconds(), st})
-	if storeDir == "" {
-		return
-	}
-	store, err := obs.Open(storeDir)
-	if err != nil {
-		return
-	}
-	defer store.Close()
-	if status, err := obs.EvaluateStore(store, obs.ServiceSLOs()); err == nil {
-		srv.PublishSLO(status)
-	}
 }
 
 // writeTraceFile writes the span ring to a file and reports how many
@@ -184,19 +164,14 @@ func writeTraceFile(path string, tracer *wtrace.Tracer, reg *telemetry.Registry)
 }
 
 // recordSession appends the daemon's lifetime record to the obs store.
-func recordSession(dir string, reg *telemetry.Registry, st rmserver.Stats, up time.Duration) error {
-	store, err := obs.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer store.Close()
+func recordSession(store *obs.Store, reg *telemetry.Registry, st rmserver.Stats, up time.Duration) error {
 	var buf bytes.Buffer
 	reg.WriteOpenMetrics(&buf)
 	sec := up.Seconds()
 	if sec <= 0 {
 		sec = 1
 	}
-	_, err = store.Append(obs.RunRecord{
+	_, err := store.Append(obs.RunRecord{
 		Kind:  obs.KindService,
 		Label: "rmd/session",
 		Values: map[string]float64{

@@ -8,23 +8,21 @@
 // Usage:
 //
 //	socsim [-hogs 6] [-ms 4] [-seed 100] [-dsu] [-memguard] [-shape]
-//	       [-mpam] [-all] [-workers N] [-parallel N]
+//	       [-mpam] [-parallel N]
 //	       [-mesh WxH] [-clusters N] [-channels N] [-apps-per-tile N]
 //	       [-metrics file.om] [-trace file.json]
 //	       [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
-// -all runs the full scenario matrix through the internal/sweep
-// harness, sharded over -workers parallel workers (default
-// GOMAXPROCS); the printed table is byte-identical for any worker
-// count. For bigger matrices — more axes, seed lists, JSON/CSV
-// aggregates — use cmd/sweep directly.
+// socsim runs one scenario. The scenario matrix (every mechanism
+// against the isolated and contended baselines) is cmd/sweep's job:
+// `sweep -mechs none,dsu,memguard,shape,mpam,all -hogs 0,6 -ms 1`
+// prints the same latency and row-hit numbers per configuration.
 //
 // -parallel N runs the single-scenario event kernel with N
 // conservative-lookahead partitions (lookahead = the mesh FlitTime).
 // Output — stdout, metrics, traces — is byte-identical to the
 // sequential engine for every N; see docs/PERFORMANCE.md ("Parallel
-// kernel") for the protocol and for why -all rejects it (the sweep
-// parallelizes across scenarios instead). N is clamped to the mesh
+// kernel") for the protocol. N is clamped to the mesh
 // width (and, on a clustered platform, the cluster count); the clamp
 // and the effective partition count are reported on stderr so stdout
 // stays byte-identical across partition counts.
@@ -57,10 +55,15 @@
 // to stderr as they happen and summarized after the run. -listen
 // starts the live export endpoint (/metrics in OpenMetrics text,
 // /healthz, /progress, /debug/pprof/*) for scraping the run in
-// flight; -linger keeps it serving after the run until SIGINT, so
-// external scrapers (or CI's process smoke) can probe a finished run.
-// With -listen, a SIGINT or SIGTERM during the run stops it at the
-// next chunk, writes nothing and exits 1.
+// flight. The run advances in 64 chunks; a scrape waits for the
+// current chunk to end, snapshots and renders the platform, and
+// releases it before writing to the socket, so a slow scraper cannot
+// stall the run and an unscraped run renders nothing. Scrapes never
+// change what the run computes. -linger keeps the endpoint serving
+// after the run until SIGINT, so external scrapers (or CI's process
+// smoke) can probe a finished run. With -listen, a SIGINT or SIGTERM
+// during the run stops it at the next chunk, writes nothing and exits
+// 1.
 // -store appends the run's record — headline latencies, audit
 // conformance, config fingerprint, and the full OpenMetrics snapshot
 // — to the cross-run results store in that directory, where obsq can
@@ -78,6 +81,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"sync"
 	"syscall"
 
 	"repro/internal/audit"
@@ -109,8 +113,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	useMG := fs.Bool("memguard", false, "give each hog a MemGuard budget")
 	useShape := fs.Bool("shape", false, "install NI token-bucket shapers on hog nodes")
 	useMPAM := fs.Bool("mpam", false, "regulate the memory channel with MPAM min/max bandwidth")
-	all := fs.Bool("all", false, "run the full scenario matrix")
-	workers := fs.Int("workers", 0, "parallel workers for -all (0 = GOMAXPROCS)")
 	parallelN := fs.Int("parallel", 0, "run the event kernel with N conservative-lookahead partitions (output is byte-identical to sequential for every N; 0 = sequential engine)")
 	meshFlag := fs.String("mesh", "", "scaled platform mesh as WxH (e.g. 16x16) or W for square; selects the clustered scenario")
 	clustersFlag := fs.Int("clusters", 0, "scaled platform cluster count (0 = min(8, mesh width); selects the clustered scenario)")
@@ -138,39 +140,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	scaled := meshW != 0 || *clustersFlag != 0 || *channelsFlag != 0 || *appsPerTile != 0
 
-	if *all && (*metricsPath != "" || *tracePath != "" || *auditOn || *listen != "" || *storeDir != "") {
-		return fmt.Errorf("-metrics/-trace/-audit/-listen/-store apply to a single scenario; drop -all (cmd/sweep has the matrix equivalents)")
-	}
-	if *all && scaled {
-		return fmt.Errorf("-mesh/-clusters/-channels/-apps-per-tile configure a single scaled scenario; drop -all")
-	}
 	if *parallelN < 0 {
 		return fmt.Errorf("-parallel must be >= 0, got %d", *parallelN)
 	}
-	if *all && *parallelN > 0 {
-		// The sweep already parallelizes at run granularity (one whole
-		// scenario per worker); kernel partitions inside each run would
-		// oversubscribe the cores for no wall-clock gain.
-		return fmt.Errorf("-parallel applies to a single scenario; -all parallelizes across scenarios via -workers instead")
-	}
 
 	horizon := sim.Duration(math.Round(*msec * float64(sim.Millisecond)))
-	if *all {
-		specs := sweep.ScenarioMatrix(*hogs, horizon, []uint64{*seed})
-		results := sweep.Run(specs, *workers, nil)
-		fmt.Fprintln(stdout, "scenario                         mean(ns)   p95(ns)    max(ns)   DRAM row-hit")
-		for _, r := range results {
-			if r.Failed() {
-				fmt.Fprintf(stdout, "%-32s FAILED: %s\n", r.Spec.Label, r.Err)
-				continue
-			}
-			fmt.Fprintf(stdout, "%-32s %-10.1f %-10.1f %-9.1f %.2f\n", r.Spec.Label,
-				r.Crit.MeanReadLatency.Nanoseconds(), r.Crit.P95ReadLatency.Nanoseconds(),
-				r.Crit.MaxReadLatency.Nanoseconds(), r.RowHitRate)
-		}
-		return nil
-	}
-
 	spec := core.RunSpec{
 		Hogs: *hogs, DSU: *useDSU, MemGuard: *useMG, Shape: *useShape, MPAM: *useMPAM,
 		HogClass: trace.Infotainment, Duration: horizon, Seed: *seed,
@@ -216,9 +190,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	var srv *audit.Server
+	var live *liveRun
 	var sigc chan os.Signal
 	if *listen != "" {
-		srv, err = audit.NewServer(*listen)
+		live = &liveRun{p: p, horizon: spec.Duration}
+		srv, err = audit.NewServer(*listen, live.metrics, live.progress, nil)
 		if err != nil {
 			return err
 		}
@@ -233,17 +209,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	p.StartApps()
-	if sig := runScenario(p, spec.Duration, srv, sigc, stderr); sig != nil {
+	if sig := runScenario(p, spec.Duration, live, sigc); sig != nil {
 		_ = srv.Close() // the interruption is the error to report
 		return fmt.Errorf("%v at %g of %g simulated ms; nothing written", sig,
 			p.Eng.Now().Nanoseconds()/1e6, spec.Duration.Nanoseconds()/1e6)
 	}
 
 	if suite := p.Telemetry(); suite != nil {
-		p.SnapshotMetrics()
-		if srv != nil {
-			publishLive(p, spec.Duration, srv, stderr)
-		}
 		if err := suite.DumpFiles(*metricsPath, *tracePath); err != nil {
 			return err
 		}
@@ -289,15 +261,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// runScenario advances the platform to the horizon. Without a live
-// endpoint it is one RunFor; with one, the run is chunked so fresh
-// snapshots are published while traffic flows — the chunk boundaries
-// never reorder events, so the simulated outcome is identical either
-// way. A signal on sigc stops the run at the next chunk boundary and
-// is returned.
-func runScenario(p *core.Platform, horizon sim.Duration, srv *audit.Server, sigc <-chan os.Signal, stderr io.Writer) os.Signal {
-	if srv == nil {
+// runScenario advances the platform to the horizon and takes the
+// final metrics snapshot. Without a live endpoint it is one RunFor;
+// with one, the run goes in 64 chunks, each under live's lock, so a
+// scrape can snapshot and render between two of them. Chunk
+// boundaries never reorder events and a snapshot never changes what
+// the run computes, so the outcome is identical either way. A signal
+// on sigc stops the run at the next chunk boundary and is returned.
+func runScenario(p *core.Platform, horizon sim.Duration, live *liveRun, sigc <-chan os.Signal) os.Signal {
+	if live == nil {
 		p.RunFor(horizon)
+		p.SnapshotMetrics()
 		return nil
 	}
 	end := p.Eng.Now() + horizon
@@ -310,37 +284,58 @@ func runScenario(p *core.Platform, horizon sim.Duration, srv *audit.Server, sigc
 		if next > end {
 			next = end
 		}
+		live.mu.Lock()
 		p.RunUntil(next)
-		publishLive(p, horizon, srv, stderr)
+		live.mu.Unlock()
 		select {
 		case sig := <-sigc:
 			return sig
 		default:
 		}
 	}
+	live.mu.Lock()
+	defer live.mu.Unlock()
+	p.SnapshotMetrics()
+	live.ran = true
 	return nil
 }
 
-// publishLive renders the current registry into the endpoint's scrape
-// buffer and refreshes the JSON progress snapshot.
-func publishLive(p *core.Platform, horizon sim.Duration, srv *audit.Server, stderr io.Writer) {
-	p.SnapshotMetrics()
-	if suite := p.Telemetry(); suite != nil && suite.Registry != nil {
-		if err := srv.PublishMetrics(suite.Registry.WriteOpenMetrics); err != nil {
-			fmt.Fprintf(stderr, "socsim: publish metrics: %v\n", err)
-		}
+// liveRun is the scenario as the live endpoint sees it. mu is held by
+// each run chunk and by each scrape while it snapshots and renders
+// into the server's buffer, never while the response goes out on the
+// socket. Once ran is set the registry holds the final snapshot, which
+// a scrape renders without touching the platform.
+type liveRun struct {
+	p       *core.Platform
+	horizon sim.Duration
+
+	mu  sync.Mutex
+	ran bool
+}
+
+// metrics is the /metrics source.
+func (l *liveRun) metrics(w io.Writer) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.ran {
+		l.p.SnapshotMetrics()
 	}
+	return l.p.Telemetry().Registry.WriteOpenMetrics(w)
+}
+
+// progress is the /progress source.
+func (l *liveRun) progress() any {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	prog := struct {
 		SimTimeNS  float64 `json:"sim_time_ns"`
 		HorizonNS  float64 `json:"horizon_ns"`
 		Violations uint64  `json:"violations"`
-	}{p.Eng.Now().Nanoseconds(), horizon.Nanoseconds(), 0}
-	if aud := p.Auditor(); aud != nil {
+	}{l.p.Eng.Now().Nanoseconds(), l.horizon.Nanoseconds(), 0}
+	if aud := l.p.Auditor(); aud != nil {
 		prog.Violations = aud.TotalViolations()
 	}
-	if err := srv.PublishProgress(prog); err != nil {
-		fmt.Fprintf(stderr, "socsim: publish progress: %v\n", err)
-	}
+	return prog
 }
 
 // recordRun appends the finished run to the cross-run results store,

@@ -2,27 +2,20 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
-)
 
-// -all parallelizes across scenarios, so kernel partitions on top of
-// it are refused before anything runs.
-func TestAllRejectsParallel(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"-all", "-parallel", "2", "-ms", "0.001"}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "-parallel applies to a single scenario") {
-		t.Fatalf("socsim -all -parallel 2: err = %v, want the single-scenario refusal", err)
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("refused run wrote stdout:\n%s", stdout.String())
-	}
-}
+	"repro/internal/telemetry"
+)
 
 // More partitions than the clustered platform can cut are clamped, and
 // the effective count goes to stderr so stdout stays identical across
@@ -109,4 +102,132 @@ func TestListenSIGINTDuringRun(t *testing.T) {
 	if !errors.As(waitErr, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr(), "socsim: interrupt at ") {
 		t.Fatalf("exit = %v, want status 1 for a run cut short by SIGINT:\n%s", waitErr, stderr())
 	}
+}
+
+// endpointWatch is a run's stderr: it keeps what run writes and hands
+// the live endpoint's address to addr as soon as run announces it.
+type endpointWatch struct {
+	addr chan string // buffered 1
+
+	mu   sync.Mutex
+	buf  bytes.Buffer
+	sent bool
+}
+
+func (w *endpointWatch) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.buf.Write(p)
+	if _, rest, ok := strings.Cut(w.buf.String(), "live endpoint on http://"); ok && !w.sent {
+		addr, _, _ := strings.Cut(rest, " ")
+		w.addr <- addr
+		w.sent = true
+	}
+	return len(p), nil
+}
+
+// Scrapes render on read, between run chunks: a run scraped in a
+// tight loop must print and dump exactly what an unscraped run without
+// -listen does, and every scrape it answers must be well-formed.
+func TestScrapesLeaveRunUnchanged(t *testing.T) {
+	for _, args := range [][]string{
+		{"-seed", "42", "-dsu", "-memguard", "-audit"},
+		{"-mesh", "16x16", "-apps-per-tile", "2", "-ms", "0.05", "-audit"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			dir := t.TempDir()
+			quietPath := filepath.Join(dir, "quiet.om")
+			var quietOut bytes.Buffer
+			if err := run(append(args, "-metrics", quietPath), &quietOut, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+
+			stderr := &endpointWatch{addr: make(chan string, 1)}
+			finished := make(chan struct{})
+			scraped := make(chan [2]int, 1) // /metrics and /progress answers
+			go func() {
+				var n [2]int
+				defer func() { scraped <- n }()
+				var addr string
+				select {
+				case addr = <-stderr.addr:
+				case <-finished:
+					return
+				}
+				for {
+					select {
+					case <-finished:
+						return
+					default:
+					}
+					for i, path := range []string{"/metrics", "/progress"} {
+						resp, err := http.Get("http://" + addr + path)
+						if err != nil {
+							return // the run is over and its endpoint closed
+						}
+						body, err := io.ReadAll(resp.Body)
+						resp.Body.Close()
+						if err != nil || resp.StatusCode != http.StatusOK {
+							t.Errorf("GET %s = %d, %v", path, resp.StatusCode, err)
+							return
+						}
+						if !checkScrape(t, path, string(body)) {
+							return
+						}
+						n[i]++
+					}
+				}
+			}()
+			livePath := filepath.Join(dir, "live.om")
+			var liveOut bytes.Buffer
+			err := run(append(args, "-metrics", livePath, "-listen", "127.0.0.1:0"), &liveOut, stderr)
+			close(finished)
+			n := <-scraped
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n[0] == 0 || n[1] == 0 {
+				t.Fatalf("the run answered %d /metrics and %d /progress scrapes, want some of each", n[0], n[1])
+			}
+			if !bytes.Equal(liveOut.Bytes(), quietOut.Bytes()) {
+				t.Errorf("scraped run printed\n%s\nwant\n%s", liveOut.String(), quietOut.String())
+			}
+			live, _ := os.ReadFile(livePath)
+			quiet, _ := os.ReadFile(quietPath)
+			if len(quiet) == 0 || !bytes.Equal(live, quiet) {
+				t.Errorf("scraped run's -metrics dump (%d bytes) differs from the unscraped one (%d bytes)", len(live), len(quiet))
+			}
+		})
+	}
+}
+
+// checkScrape reports whether one answer is well-formed: every sample
+// line of /metrics parses and the exposition ends in # EOF; /progress
+// decodes with a simulated time within the horizon.
+func checkScrape(t *testing.T, path, body string) bool {
+	if path == "/progress" {
+		var prog struct {
+			SimTimeNS float64 `json:"sim_time_ns"`
+			HorizonNS float64 `json:"horizon_ns"`
+		}
+		if err := json.Unmarshal([]byte(body), &prog); err != nil || prog.HorizonNS <= 0 || prog.SimTimeNS > prog.HorizonNS {
+			t.Errorf("/progress = %q (%v)", body, err)
+			return false
+		}
+		return true
+	}
+	if !strings.HasSuffix(body, "\n# EOF\n") {
+		t.Errorf("/metrics does not end in # EOF: %q", body[max(0, len(body)-200):])
+		return false
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if _, err := telemetry.ParseSample(line); err != nil {
+			t.Errorf("/metrics: %v", err)
+			return false
+		}
+	}
+	return true
 }

@@ -32,16 +32,19 @@
 // the full metrics snapshot, queryable afterwards with obsq — and
 // evaluates the built-in SLOs over the stored history when the sweep
 // finishes. -listen serves live progress while the sweep executes:
-// /progress (JSON done/failed/violation counts), /healthz, /slo (SLO
-// statuses once computed), and /debug/pprof for profiling a long
-// sweep in flight. All of these are off by default and leave the
-// aggregate bytes unchanged.
+// /progress (JSON done/failed/violation counts), /healthz, /slo (with
+// -store, the built-in SLOs evaluated over the stored history), and
+// /debug/pprof for profiling a long sweep in flight. Each GET renders
+// its answer then; nothing renders for an endpoint nobody reads. All
+// of these are off by default and leave the aggregate bytes
+// unchanged. -ms takes fractions (0.5 is 500 µs).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -69,7 +72,7 @@ func run() error {
 	mechs := flag.String("mechs", "none,all", "comma-separated mechanism sets (none, dsu, memguard, shape, mpam, all, or +-joined combos)")
 	hogs := flag.String("hogs", "0,6", "comma-separated aggressor counts (0 adds the isolated baseline)")
 	workloads := flag.String("workloads", "infotainment", "comma-separated hog workload classes (control-loop, vision-pipeline, infotainment)")
-	ms := flag.String("ms", "4", "comma-separated simulated horizons in milliseconds")
+	ms := flag.String("ms", "4", "comma-separated simulated horizons in milliseconds (fractions allowed, e.g. 0.5)")
 	seeds := flag.String("seeds", "100", "comma-separated seeds; each configuration runs once per seed")
 	admApps := flag.String("admission-apps", "", "comma-separated app counts for admission-overlay runs (empty = none)")
 	admCrit := flag.Int("admission-crit", 2, "critical apps per admission-overlay run")
@@ -114,22 +117,20 @@ func run() error {
 		recorder = sweep.NewRecorder(store, specs)
 	}
 
-	var srv *audit.Server
 	var observe func(sweep.Result)
 	if *listen != "" {
-		var err error
-		if srv, err = audit.NewServer(*listen); err != nil {
+		prog := sweep.NewProgress(len(specs))
+		observe = prog.Observe
+		var slo func() (any, error)
+		if store != nil {
+			slo = func() (any, error) { return obs.EvaluateStore(store, obs.DefaultSLOs()) }
+		}
+		srv, err := audit.NewServer(*listen, nil, func() any { return prog.Snapshot() }, slo)
+		if err != nil {
 			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "sweep: live endpoint on http://%s (/progress /healthz /slo /debug/pprof)\n", srv.Addr())
-		prog := sweep.NewProgress(len(specs), func(snap sweep.ProgressSnapshot) {
-			if err := srv.PublishProgress(snap); err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: publish progress: %v\n", err)
-			}
-		})
-		srv.PublishProgress(prog.Snapshot())
-		observe = prog.Observe
 	}
 
 	fmt.Printf("sweep: %d runs (%d workers)\n", len(specs), effectiveWorkers(*workers, len(specs)))
@@ -145,11 +146,6 @@ func run() error {
 			return fmt.Errorf("-store: evaluate SLOs: %w", err)
 		}
 		printSLOs(os.Stderr, statuses)
-		if srv != nil {
-			if err := srv.PublishSLO(statuses); err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: publish slo: %v\n", err)
-			}
-		}
 	}
 
 	printTable(os.Stdout, summaries)
@@ -232,15 +228,16 @@ func buildMatrix(mechs, hogs, workloads, ms, seeds, admApps string, admCrit int)
 		}
 		mx.Workloads = append(mx.Workloads, cls)
 	}
-	msList, err := parseInts(ms)
-	if err != nil {
-		return mx, fmt.Errorf("-ms: %w", err)
-	}
-	for _, v := range msList {
-		if v <= 0 {
-			return mx, fmt.Errorf("-ms: horizon %d must be positive", v)
+	for _, part := range splitList(ms) {
+		v, err := strconv.ParseFloat(part, 64)
+		if err != nil {
+			return mx, fmt.Errorf("-ms: %w", err)
 		}
-		mx.Durations = append(mx.Durations, sim.Duration(v)*sim.Millisecond)
+		d := sim.Duration(math.Round(v * float64(sim.Millisecond)))
+		if !(v > 0) || d <= 0 {
+			return mx, fmt.Errorf("-ms: horizon %s must be positive", part)
+		}
+		mx.Durations = append(mx.Durations, d)
 	}
 	for _, s := range splitList(seeds) {
 		v, err := strconv.ParseUint(s, 10, 64)

@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 
 	"repro/internal/telemetry"
@@ -22,41 +21,50 @@ import (
 // standard pprof handlers (/debug/pprof/*) for profiling a long sweep
 // in flight.
 //
-// The simulation goroutine stays allocation-free and lock-light: it
-// renders snapshots at times of its own choosing and publishes the
-// finished bytes with PublishMetrics/PublishProgress; HTTP handlers
-// only ever copy the latest published buffer under a short mutex.
-// Scrapes therefore never touch live simulation state, and a slow or
-// hostile scraper cannot stall the simulation.
+// Every payload is rendered on read: each GET calls the source the
+// caller handed NewServer, renders into a buffer and only then writes
+// the buffer to the client. Nothing renders while nobody scrapes, a
+// render error answers 500 rather than a truncated 200, and a slow or
+// hostile scraper holds no source's lock while its socket drains.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
 	mux *http.ServeMux
 
-	mu       sync.Mutex
-	metrics  []byte
-	progress []byte
-	slo      []byte
-
 	done chan struct{}
-	err  error
+	err  error // Serve's failure; read only after done closes
 }
 
 // NewServer starts a live export endpoint on addr (e.g. ":9091" or
-// "127.0.0.1:0"). The returned server is already listening; Addr
-// reports the bound address (useful with port 0).
-func NewServer(addr string) (*Server, error) {
+// "127.0.0.1:0") serving the given sources. metrics renders the
+// /metrics exposition; progress returns the value /progress encodes
+// as JSON; slo returns the value /slo encodes (normally a
+// []obs.SLOStatus) or the error that kept it from evaluating one. The
+// sources run on the handler goroutines, possibly several at once, so
+// each guards whatever state it reads. A nil source serves an empty
+// payload: "# EOF", {} or []. The returned server is already
+// listening; Addr reports the bound address (useful with port 0).
+func NewServer(addr string, metrics func(io.Writer) error, progress func() any, slo func() (any, error)) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("audit: listen %s: %w", addr, err)
 	}
 	s := &Server{ln: ln, done: make(chan struct{})}
 
+	var progressJSON func(io.Writer) error
+	if progress != nil {
+		progressJSON = renderJSON(func() (any, error) { return progress(), nil })
+	}
+	var sloJSON func(io.Writer) error
+	if slo != nil {
+		sloJSON = renderJSON(slo)
+	}
+
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/progress", s.handleProgress)
-	mux.HandleFunc("/slo", s.handleSLO)
+	mux.HandleFunc("/metrics", serveRendered(telemetry.OpenMetricsContentType, "# EOF\n", metrics))
+	mux.HandleFunc("/healthz", serveRendered("text/plain; charset=utf-8", "ok\n", nil))
+	mux.HandleFunc("/progress", serveRendered("application/json", "{}\n", progressJSON))
+	mux.HandleFunc("/slo", serveRendered("application/json", "[]\n", sloJSON))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -66,11 +74,8 @@ func NewServer(addr string) (*Server, error) {
 	s.mux = mux
 	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() {
-		err := s.srv.Serve(ln)
-		if err != nil && err != http.ErrServerClosed {
-			s.mu.Lock()
+		if err := s.srv.Serve(ln); err != http.ErrServerClosed {
 			s.err = err
-			s.mu.Unlock()
 		}
 		close(s.done)
 	}()
@@ -80,89 +85,37 @@ func NewServer(addr string) (*Server, error) {
 // Addr returns the listener's bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// PublishMetrics renders a scrape body via render and installs it as
-// the payload /metrics serves until the next publish. Rendering runs
-// on the caller's goroutine (normally the simulation thread between
-// run chunks), never under the handler lock.
-func (s *Server) PublishMetrics(render func(io.Writer) error) error {
-	var buf bytes.Buffer
-	if err := render(&buf); err != nil {
+// serveRendered answers each request with what render writes, or with
+// empty when render is nil. The body is buffered whole first, so a
+// render error becomes a 500 and never a truncated 200.
+func serveRendered(contentType, empty string, render func(io.Writer) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		var buf bytes.Buffer
+		if render == nil {
+			buf.WriteString(empty)
+		} else if err := render(&buf); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", contentType)
+		w.Write(buf.Bytes())
+	}
+}
+
+// renderJSON renders the value source as indented JSON.
+func renderJSON(value func() (any, error)) func(io.Writer) error {
+	return func(w io.Writer) error {
+		v, err := value()
+		if err != nil {
+			return err
+		}
+		b, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(append(b, '\n'))
 		return err
 	}
-	s.mu.Lock()
-	s.metrics = buf.Bytes()
-	s.mu.Unlock()
-	return nil
-}
-
-// PublishProgress JSON-encodes v and installs it as the /progress
-// payload.
-func (s *Server) PublishProgress(v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.progress = append(b, '\n')
-	s.mu.Unlock()
-	return nil
-}
-
-// PublishSLO JSON-encodes v (normally a []obs.SLOStatus) and installs
-// it as the /slo payload. The server stays decoupled from the SLO
-// engine the same way /progress stays decoupled from the sweep: it
-// serves whatever the caller rendered.
-func (s *Server) PublishSLO(v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.slo = append(b, '\n')
-	s.mu.Unlock()
-	return nil
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	body := s.metrics
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", telemetry.OpenMetricsContentType)
-	if body == nil {
-		// Nothing published yet: a valid, empty exposition.
-		io.WriteString(w, "# EOF\n")
-		return
-	}
-	w.Write(body)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "ok\n")
-}
-
-func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	body := s.progress
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	if body == nil {
-		io.WriteString(w, "{}\n")
-		return
-	}
-	w.Write(body)
-}
-
-func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	body := s.slo
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	if body == nil {
-		io.WriteString(w, "[]\n")
-		return
-	}
-	w.Write(body)
 }
 
 // Handle registers an additional handler on the server's mux, letting
@@ -178,26 +131,20 @@ func (s *Server) Handle(pattern string, h http.Handler) {
 // exits. Use this instead of Close when in-flight requests must not be
 // dropped — the admission service's SIGTERM path.
 func (s *Server) Shutdown(ctx context.Context) error {
-	err := s.srv.Shutdown(ctx)
-	<-s.done
-	s.mu.Lock()
-	serveErr := s.err
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return serveErr
+	return s.wait(s.srv.Shutdown(ctx))
 }
 
 // Close shuts the listener down and waits for the serve loop to exit.
 func (s *Server) Close() error {
-	err := s.srv.Close()
+	return s.wait(s.srv.Close())
+}
+
+// wait waits for the serve loop to exit and returns err, or else the
+// loop's own failure.
+func (s *Server) wait(err error) error {
 	<-s.done
-	s.mu.Lock()
-	serveErr := s.err
-	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return serveErr
+	return s.err
 }

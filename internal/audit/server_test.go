@@ -2,6 +2,7 @@ package audit
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,15 +29,14 @@ func get(t *testing.T, url string) (int, string, string) {
 }
 
 func TestServerEndpoints(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0")
+	// Without sources: healthz up, metrics a valid empty exposition,
+	// progress an empty object, slo an empty list.
+	empty, err := NewServer("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	base := "http://" + s.Addr()
-
-	// Before any publish: healthz up, metrics a valid empty exposition,
-	// progress an empty object.
+	defer empty.Close()
+	base := "http://" + empty.Addr()
 	if code, body, _ := get(t, base+"/healthz"); code != 200 || body != "ok\n" {
 		t.Fatalf("healthz = %d %q", code, body)
 	}
@@ -50,43 +50,50 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("empty slo = %d %q %q", code, body, ct)
 	}
 
-	// Publish a real scrape body and a progress snapshot.
+	// With sources, every GET renders the current state.
 	reg := telemetry.NewRegistry()
-	reg.Counter("sim.events").Add(42)
-	if err := s.PublishMetrics(reg.WriteOpenMetrics); err != nil {
+	events := reg.Counter("sim.events")
+	events.Add(42)
+	s, err := NewServer("127.0.0.1:0", reg.WriteOpenMetrics,
+		func() any { return map[string]int{"done": 3, "total": 8} },
+		func() (any, error) { return []map[string]any{{"name": "bound-conformance", "met": true}}, nil })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PublishProgress(map[string]int{"done": 3, "total": 8}); err != nil {
-		t.Fatal(err)
-	}
-
+	defer s.Close()
+	base = "http://" + s.Addr()
 	if _, body, _ := get(t, base+"/metrics"); !strings.Contains(body, "sim_events_total 42") || !strings.HasSuffix(body, "# EOF\n") {
 		t.Fatalf("metrics body = %q", body)
 	}
+	events.Inc()
+	if _, body, _ := get(t, base+"/metrics"); !strings.Contains(body, "sim_events_total 43") {
+		t.Fatalf("second scrape did not re-render: %q", body)
+	}
 	if _, body, ct := get(t, base+"/progress"); !strings.Contains(body, `"done": 3`) || ct != "application/json" {
 		t.Fatalf("progress = %q %q", body, ct)
+	}
+	if _, body, ct := get(t, base+"/slo"); !strings.Contains(body, `"bound-conformance"`) || ct != "application/json" {
+		t.Fatalf("slo = %q %q", body, ct)
 	}
 
 	// pprof index answers.
 	if code, _, _ := get(t, base+"/debug/pprof/"); code != 200 {
 		t.Fatalf("pprof index = %d", code)
 	}
-
-	// SLO statuses serve as published.
-	if err := s.PublishSLO([]map[string]any{{"name": "bound-conformance", "met": true}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, body, ct := get(t, base+"/slo"); !strings.Contains(body, `"bound-conformance"`) || ct != "application/json" {
-		t.Fatalf("slo = %q %q", body, ct)
-	}
 }
 
 // TestServerProgressAndHealthzContract pins the handlers' HTTP
-// contract: status codes, content types, and a decodable JSON shape
-// for /progress — the schema socsim and sweep publish and external
-// watchers poll.
+// contract: status codes, content types, a decodable JSON shape for
+// /progress (the schema socsim and sweep serve and external watchers
+// poll), and a 500 with no partial payload when a source fails.
 func TestServerProgressAndHealthzContract(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0")
+	type progress struct {
+		SimTimeNS  float64 `json:"sim_time_ns"`
+		HorizonNS  float64 `json:"horizon_ns"`
+		Violations uint64  `json:"violations"`
+	}
+	want := progress{1.5e6, 4e6, 3}
+	s, err := NewServer("127.0.0.1:0", nil, func() any { return want }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,67 +104,59 @@ func TestServerProgressAndHealthzContract(t *testing.T) {
 	if code != http.StatusOK || body != "ok\n" || !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("healthz = %d %q %q", code, body, ct)
 	}
-
-	published := struct {
-		SimTimeNS  float64 `json:"sim_time_ns"`
-		HorizonNS  float64 `json:"horizon_ns"`
-		Violations uint64  `json:"violations"`
-	}{1.5e6, 4e6, 3}
-	if err := s.PublishProgress(published); err != nil {
-		t.Fatal(err)
-	}
 	code, body, ct = get(t, base+"/progress")
 	if code != http.StatusOK || ct != "application/json" {
 		t.Fatalf("progress = %d %q", code, ct)
 	}
-	var got struct {
-		SimTimeNS  float64 `json:"sim_time_ns"`
-		HorizonNS  float64 `json:"horizon_ns"`
-		Violations uint64  `json:"violations"`
-	}
+	var got progress
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatalf("progress body is not JSON: %v\n%s", err, body)
 	}
-	if got != published {
-		t.Fatalf("progress round-trip = %+v, want %+v", got, published)
+	if got != want {
+		t.Fatalf("progress round-trip = %+v, want %+v", got, want)
 	}
 
-	// Unencodable progress is rejected, and the previous payload stays.
-	if err := s.PublishProgress(map[string]any{"bad": func() {}}); err == nil {
-		t.Fatal("unencodable progress accepted")
+	// A failing source answers 500, never a 200 with what it rendered
+	// before failing.
+	failing, err := NewServer("127.0.0.1:0",
+		func(w io.Writer) error {
+			io.WriteString(w, "# TYPE half counter\n")
+			return errors.New("render failed")
+		},
+		func() any { return map[string]any{"bad": func() {}} },
+		func() (any, error) { return nil, errors.New("store unreadable") })
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, body2, _ := get(t, base+"/progress"); body2 != body {
-		t.Fatalf("failed publish replaced the payload: %q", body2)
+	defer failing.Close()
+	for path, msg := range map[string]string{
+		"/metrics":  "render failed",
+		"/progress": "unsupported type",
+		"/slo":      "store unreadable",
+	} {
+		code, body, _ := get(t, "http://"+failing.Addr()+path)
+		if code != http.StatusInternalServerError || !strings.Contains(body, msg) || strings.Contains(body, "half") {
+			t.Errorf("%s with a failing source = %d %q, want 500 naming %q", path, code, body, msg)
+		}
 	}
 }
 
 // TestServerServesFinalSnapshotAfterHalt drives a simulation that
-// publishes while running and halts mid-horizon: the endpoint must
-// keep serving the final published snapshot — the evidence of where
-// the run stopped — not go empty or stale-race with the dead engine.
+// halts mid-horizon: the endpoint must keep serving the state at the
+// halt, the evidence of where the run stopped, scrape after scrape.
 func TestServerServesFinalSnapshotAfterHalt(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0")
+	eng := sim.NewEngine()
+	reg := telemetry.NewRegistry()
+	ticks := reg.Counter("sim.ticks")
+	s, err := NewServer("127.0.0.1:0", reg.WriteOpenMetrics,
+		func() any { return map[string]float64{"sim_time_ns": eng.Now().Nanoseconds()} }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	base := "http://" + s.Addr()
 
-	eng := sim.NewEngine()
-	reg := telemetry.NewRegistry()
-	ticks := reg.Counter("sim.ticks")
-	publish := func() {
-		if err := s.PublishMetrics(reg.WriteOpenMetrics); err != nil {
-			t.Error(err)
-		}
-		if err := s.PublishProgress(map[string]float64{"sim_time_ns": eng.Now().Nanoseconds()}); err != nil {
-			t.Error(err)
-		}
-	}
-	eng.Every(sim.Microsecond, func() {
-		ticks.Inc()
-		publish()
-	})
+	eng.Every(sim.Microsecond, func() { ticks.Inc() })
 	eng.At(10*sim.Microsecond+sim.Nanosecond, func() { eng.Halt() })
 	eng.RunUntil(100 * sim.Microsecond)
 
@@ -167,8 +166,6 @@ func TestServerServesFinalSnapshotAfterHalt(t *testing.T) {
 	if eng.Now().Nanoseconds() >= 100*1000 {
 		t.Fatalf("halt did not cut the horizon: now=%v", eng.Now())
 	}
-	// The last published snapshot survives the halt, scrape after
-	// scrape.
 	for i := 0; i < 3; i++ {
 		code, body, _ := get(t, base+"/metrics")
 		if code != http.StatusOK || !strings.Contains(body, "sim_ticks_total 10") {
@@ -180,33 +177,39 @@ func TestServerServesFinalSnapshotAfterHalt(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &prog); err != nil {
 		t.Fatalf("post-halt progress: %v", err)
 	}
-	if prog["sim_time_ns"] != 10_000 {
-		t.Fatalf("post-halt progress = %v, want the halt-time snapshot", prog)
+	if prog["sim_time_ns"] != 10_001 {
+		t.Fatalf("post-halt progress = %v, want the halt time", prog)
 	}
 	if code, body, _ := get(t, base+"/healthz"); code != http.StatusOK || body != "ok\n" {
 		t.Fatalf("healthz after halt = %d %q", code, body)
 	}
 }
 
-// TestConcurrentScrapesDuringObserve is the race test the issue asks
-// for: many /metrics scrapes while the "simulation" goroutine keeps
-// observing transactions and republishing. Run under -race.
+// TestConcurrentScrapesDuringObserve runs many /metrics scrapes while
+// the "simulation" goroutine keeps observing transactions. The metrics
+// source takes the simulation's lock only to mirror the auditor and
+// render into the server's buffer. Run under -race.
 func TestConcurrentScrapesDuringObserve(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0")
+	a := New(Config{})
+	aa := a.Register("crit", Bound{DelayBoundNS: 50})
+	reg := telemetry.NewRegistry()
+	var mu sync.Mutex // guards a between the simulation and renders
+	s, err := NewServer("127.0.0.1:0", func(w io.Writer) error {
+		mu.Lock()
+		defer mu.Unlock()
+		a.PublishMetrics(reg)
+		return reg.WriteOpenMetrics(w)
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	a := New(Config{})
-	aa := a.Register("crit", Bound{DelayBoundNS: 50})
-	reg := telemetry.NewRegistry()
 	url := "http://" + s.Addr() + "/metrics"
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// The simulation thread: observe + publish in a tight loop.
+	// The simulation thread: observe in a tight loop.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -214,14 +217,9 @@ func TestConcurrentScrapesDuringObserve(t *testing.T) {
 			var b Breakdown
 			b[StageMemGuard] = sim.NS(float64(i % 90))
 			b[StageDRAMService] = sim.NS(15)
+			mu.Lock()
 			aa.Observe(sim.Time(i), b)
-			if i%25 == 0 {
-				a.PublishMetrics(reg)
-				if err := s.PublishMetrics(reg.WriteOpenMetrics); err != nil {
-					t.Error(err)
-					return
-				}
-			}
+			mu.Unlock()
 		}
 		close(stop)
 	}()
@@ -256,10 +254,13 @@ func TestConcurrentScrapesDuringObserve(t *testing.T) {
 	if a.TotalViolations() == 0 {
 		t.Fatal("expected violations from the synthetic load")
 	}
+	if _, body, _ := get(t, url); !strings.Contains(body, "audit_crit_violations") {
+		t.Fatalf("final scrape lacks the auditor's families:\n%s", body)
+	}
 }
 
 func TestServerCloseIdempotentScrapeAfterCloseFails(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0")
+	s, err := NewServer("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,3 +157,74 @@ func TestAuditRunSpecViolationCounts(t *testing.T) {
 		t.Fatalf("violations = %d/%d, want crit-only nonzero", res.CritViolations, res.TotalViolations)
 	}
 }
+
+// TestAuditObservesReadsAndWriteHits pins where an app's read-latency
+// histogram and its auditor's latency histogram part ways. App.finish
+// records reads only; the auditor observes every read and also every
+// write that hits in the cache (txn.hit), while posted write misses
+// reach neither. So observed >= reads for every app, with equality,
+// and equal histograms, for an app that never writes. The read-only
+// case uses VisionPipeline hogs (WriteEvery 0); the socsim default,
+// Infotainment, writes every third access.
+func TestAuditObservesReadsAndWriteHits(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		spec RunSpec
+	}{
+		{"base", RunSpec{}},
+		{"dsu", RunSpec{DSU: true}},
+		{"memguard", RunSpec{MemGuard: true}},
+		{"mpam", RunSpec{MPAM: true}},
+	} {
+		for _, class := range []trace.WorkloadClass{trace.Infotainment, trace.VisionPipeline} {
+			spec := mode.spec
+			spec.Hogs, spec.HogClass, spec.Seed, spec.Duration = 6, class, 100, sim.Millisecond
+			p, _, err := BuildPlatform(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aud, err := p.EnableAudit(AuditOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.StartApps()
+			p.RunFor(spec.Duration)
+
+			readOnly := 0
+			for _, name := range p.Apps() {
+				app, err := p.App(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := app.Stats()
+				aa := aud.App(name)
+				observed := aa.Snapshot().Observed
+				if observed < st.Reads || observed > st.Reads+st.Writes {
+					t.Errorf("%s/%s %s: auditor observed %d, app read %d and wrote %d; want reads <= observed <= reads+writes",
+						mode.name, class, name, observed, st.Reads, st.Writes)
+				}
+				if name == "crit" && observed == st.Reads {
+					// crit's 32 KiB loop writes every fourth access and
+					// mostly hits, so the two counts must part.
+					t.Errorf("%s/%s crit: auditor observed %d = reads; its write hits went unobserved",
+						mode.name, class, observed)
+				}
+				if app.Config().Profile.WriteEvery != 0 {
+					continue
+				}
+				readOnly++
+				if observed != st.Reads {
+					t.Errorf("%s/%s %s never writes, yet the auditor observed %d against %d reads",
+						mode.name, class, name, observed, st.Reads)
+				}
+				if got, want := aa.LatencyHistogram().Summarize(), app.ReadLatencyHistogram().Summarize(); got != want {
+					t.Errorf("%s/%s %s never writes, yet its histograms differ: auditor %+v, app %+v",
+						mode.name, class, name, got, want)
+				}
+			}
+			if class == trace.VisionPipeline && readOnly != spec.Hogs {
+				t.Errorf("%s/%s: %d read-only apps, want the %d hogs", mode.name, class, readOnly, spec.Hogs)
+			}
+		}
+	}
+}

@@ -49,8 +49,8 @@ func TestStorePruneKeepsNewestAndSeq(t *testing.T) {
 		t.Fatalf("post-prune Seq = %d, want 11", r.Seq)
 	}
 
-	// And the append landed in the surviving file (the handle was
-	// reopened onto the new inode), visible to a fresh handle.
+	// And the append landed in the surviving file, visible to a fresh
+	// handle.
 	s2, err := Open(s.Dir())
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +62,39 @@ func TestStorePruneKeepsNewestAndSeq(t *testing.T) {
 	}
 	if len(recs) != 4 || recs[3].Label != "after" || recs[3].Seq != 11 {
 		t.Fatalf("fresh handle sees %+v", recs)
+	}
+}
+
+// A long-lived handle (sweep -store, rmd -store) keeps appending while
+// obsq prunes through another: its next append must land in the log
+// the prune renamed into place, not in the unlinked one it replaced.
+func TestStoreAppendAfterOtherHandlesPrune(t *testing.T) {
+	a := testStore(t)
+	for i := 0; i < 3; i++ {
+		if _, err := a.Append(RunRecord{Kind: KindBench, Label: fmt.Sprintf("r%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := Open(a.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if removed, err := b.Prune(1); err != nil || removed != 2 {
+		t.Fatalf("prune = %d, %v; want 2 removed", removed, err)
+	}
+	r, err := a.Append(RunRecord{Kind: KindBench, Label: "after"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Store{a, b} {
+		recs, err := h.Query(Filter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 2 || recs[0].Seq != 3 || recs[1].Seq != r.Seq || recs[1].Label != "after" {
+			t.Fatalf("after the other handle's prune the log holds %+v, want Seq 3 and the appended Seq %d", recs, r.Seq)
+		}
 	}
 }
 

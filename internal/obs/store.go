@@ -54,7 +54,7 @@ type Store struct {
 	path string
 
 	mu       sync.Mutex
-	f        *os.File
+	closed   bool
 	next     int64
 	now      func() int64
 	recovery Recovery
@@ -125,11 +125,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if s.next, err = nextSeq(recs); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("obs: open store log: %w", err)
-	}
-	s.f = f
 	return s, nil
 }
 
@@ -175,16 +170,12 @@ func (s *Store) Recovery() Recovery { return s.recovery }
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close releases the append handle. Appends after Close fail.
+// Close ends the handle. Appends and prunes after Close fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
+	s.closed = true
+	s.mu.Unlock()
+	return nil
 }
 
 // Append stamps the record (schema version, sequence number, recorded
@@ -192,7 +183,9 @@ func (s *Store) Close() error {
 // returned. The sequence number is reserved through the store's
 // on-disk counter under the cross-process lock, so concurrent handles
 // — including handles in other processes — never stamp duplicates,
-// and file order equals Seq order.
+// and file order equals Seq order. The log is opened for each append,
+// under that lock, so an append lands in the file another handle's
+// Prune renamed into place, not in the unlinked log it replaced.
 func (s *Store) Append(rec RunRecord) (RunRecord, error) {
 	rec.Schema = SchemaVersion
 	if rec.Metrics != "" && rec.MetricsFP == "" {
@@ -200,7 +193,7 @@ func (s *Store) Append(rec RunRecord) (RunRecord, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.closed {
 		return rec, fmt.Errorf("obs: append on closed store")
 	}
 	unlock, err := lockDir(s.dir)
@@ -219,8 +212,16 @@ func (s *Store) Append(rec RunRecord) (RunRecord, error) {
 		return rec, fmt.Errorf("obs: encode record: %w", err)
 	}
 	line = append(line, '\n')
-	if _, err := s.f.Write(line); err != nil {
-		return rec, fmt.Errorf("obs: append record: %w", err)
+	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return rec, fmt.Errorf("obs: open store log: %w", err)
+	}
+	_, werr := f.Write(line)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return rec, fmt.Errorf("obs: append record: %w", werr)
 	}
 	s.next = seq + 1
 	return rec, nil
@@ -242,7 +243,7 @@ func (s *Store) Prune(keep int) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.closed {
 		return 0, fmt.Errorf("obs: prune on closed store")
 	}
 	unlock, err := lockDir(s.dir)
@@ -300,16 +301,6 @@ func (s *Store) Prune(keep int) (int, error) {
 	if err := os.Rename(tmp.Name(), s.path); err != nil {
 		return 0, fmt.Errorf("obs: prune rename: %w", err)
 	}
-	// The old O_APPEND handle now points at the unlinked pre-prune
-	// inode; swap it for a handle on the new log so later Appends land
-	// in the surviving file.
-	s.f.Close()
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		s.f = nil
-		return 0, fmt.Errorf("obs: reopen pruned store: %w", err)
-	}
-	s.f = f
 	return len(recs) - len(kept), nil
 }
 

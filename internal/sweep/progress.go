@@ -16,8 +16,9 @@ type ProgressSnapshot struct {
 }
 
 // Progress tracks per-run sweep completion. Its Observe method is the
-// intended RunObserved callback: safe for concurrent use, with
-// onUpdate invoked outside the lock after every finished run.
+// intended RunObserved callback; Observe and Snapshot are safe for
+// concurrent use, so a live endpoint can read Snapshot while workers
+// report.
 type Progress struct {
 	mu         sync.Mutex
 	total      int
@@ -25,41 +26,29 @@ type Progress struct {
 	failed     int
 	violations uint64
 	lastLabel  string
-
-	onUpdate func(ProgressSnapshot)
 }
 
-// NewProgress builds a tracker for total runs; onUpdate (optional)
-// fires with a fresh snapshot after each Observe.
-func NewProgress(total int, onUpdate func(ProgressSnapshot)) *Progress {
-	return &Progress{total: total, onUpdate: onUpdate}
+// NewProgress builds a tracker for total runs.
+func NewProgress(total int) *Progress {
+	return &Progress{total: total}
 }
 
 // Observe folds one finished run into the tracker.
 func (p *Progress) Observe(r Result) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.done++
 	if r.Failed() {
 		p.failed++
 	}
 	p.violations += r.Violations
 	p.lastLabel = r.Spec.Label
-	snap := p.snapshotLocked()
-	cb := p.onUpdate
-	p.mu.Unlock()
-	if cb != nil {
-		cb(snap)
-	}
 }
 
 // Snapshot returns the current completion state.
 func (p *Progress) Snapshot() ProgressSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.snapshotLocked()
-}
-
-func (p *Progress) snapshotLocked() ProgressSnapshot {
 	return ProgressSnapshot{
 		Total:      p.total,
 		Done:       p.done,

@@ -233,10 +233,14 @@ func fmtDur(d sim.Duration) string {
 	}
 }
 
-// ScenarioMatrix is socsim's -all scenario list as sweep specs: the
-// isolated baseline, unprotected contention, each mechanism alone,
-// and all mechanisms together — hogs aggressors of class
-// Infotainment over horizon d, one run per seed per scenario.
+// ScenarioMatrix is the X1 scenario list as sweep specs, labelled
+// for reading: the isolated baseline, unprotected contention, each
+// mechanism alone, and all mechanisms together — hogs aggressors of
+// class Infotainment over horizon d, one run per seed per scenario.
+// The sweep CLI reaches the same runs with
+// `-mechs none,dsu,memguard,shape,mpam,all -hogs 0,<hogs>`; the
+// sweep-scaling benchmark and this package's tests use the list
+// directly.
 func ScenarioMatrix(hogs int, d sim.Duration, seeds []uint64) []Spec {
 	seeds = defaults(seeds, 100)
 	var specs []Spec
