@@ -168,6 +168,18 @@ func New(cfg Config) *Auditor {
 	return &Auditor{cfg: cfg, apps: make(map[string]*AppAuditor)}
 }
 
+// Reserve sizes an empty auditor's app table for n registrations, so
+// registering them does not rehash it; once an app is registered it
+// does nothing.
+func (a *Auditor) Reserve(n int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.apps) == 0 {
+		a.apps = make(map[string]*AppAuditor, n)
+		a.order = make([]string, 0, n)
+	}
+}
+
 // Register captures an app's contract and returns its per-app handle
 // (idempotent per name: re-registering replaces the bound but keeps
 // accumulated state). The handle's Observe is the auditor's hot path.

@@ -6,6 +6,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/dram/wcd"
 	"repro/internal/netcalc"
+	"repro/internal/noc"
 )
 
 // AuditOptions parameterizes EnableAudit.
@@ -45,6 +46,12 @@ func (p *Platform) EnableAudit(opts AuditOptions) (*audit.Auditor, error) {
 	// bit-identical to the uncached composition, so bounds don't move.
 	p.ncCache = netcalc.NewCache(0)
 	p.dramReq, p.dramReqErr = wcd.ServiceCurve(wcd.DefaultParams(), 32)
+	p.audCurves = auditCurves{
+		dram:  make(map[int]netcalc.Curve),
+		alpha: make(map[tokenKey]netcalc.Curve),
+		noc:   make(map[nocKey]netcalc.Curve),
+	}
+	p.aud.Reserve(len(p.order))
 	for _, name := range p.order {
 		p.registerAudit(p.apps[name])
 	}
@@ -107,29 +114,43 @@ func (p *Platform) channelContenders(a *App) int {
 // throttle stall). +Inf (an infeasible composition) disables
 // conformance checking for the app.
 func (p *Platform) analyticDelayBoundNS(a *App) float64 {
+	if p.dramReqErr != nil {
+		return 0 // no analytic bound derivable; attribution-only
+	}
 	prof := a.cfg.Profile
 	thinkNS := prof.Think.Nanoseconds()
 	if thinkNS < 1 {
 		thinkNS = 1
 	}
-	alpha := netcalc.TokenBucket(float64(prof.ReqBytes), float64(prof.ReqBytes)/thinkNS)
+	cv := &p.audCurves
+	tk := tokenKey{prof.ReqBytes, thinkNS}
+	alpha, ok := cv.alpha[tk]
+	if !ok {
+		alpha = netcalc.TokenBucket(float64(prof.ReqBytes), float64(prof.ReqBytes)/thinkNS)
+		cv.alpha[tk] = alpha
+	}
+	dramBytes, ok := cv.dram[prof.ReqBytes]
+	if !ok {
+		dramBytes = netcalc.Scale(p.dramReq, float64(prof.ReqBytes))
+		cv.dram[prof.ReqBytes] = dramBytes
+	}
 
 	contenders := p.channelContenders(a)
-
-	if p.dramReqErr != nil {
-		return 0 // no analytic bound derivable; attribution-only
-	}
-	dramBytes := netcalc.Scale(p.dramReq, float64(prof.ReqBytes))
-
 	targets := p.chans
 	if p.distributed && p.cfg.ChannelMode == ChannelPartition {
 		targets = p.chans[p.HomeChannel(a.cfg.Cluster) : p.HomeChannel(a.cfg.Cluster)+1]
 	}
 	var bound float64
 	for _, ch := range targets {
-		nocThere := p.mesh.ServiceCurve(a.cfg.Node, ch.node, contenders)
-		nocBack := p.mesh.ServiceCurve(ch.node, a.cfg.Node, contenders)
-		b := p.ncCache.DelayBoundThrough(alpha, nocThere, dramBytes, nocBack)
+		// The mesh curve depends only on the route length and the
+		// contender count, so the way there and the way back share it.
+		nk := nocKey{noc.HopCount(a.cfg.Node, ch.node), contenders}
+		nocPath, ok := cv.noc[nk]
+		if !ok {
+			nocPath = p.mesh.ServiceCurve(a.cfg.Node, ch.node, contenders)
+			cv.noc[nk] = nocPath
+		}
+		b := p.ncCache.DelayBoundThrough(alpha, nocPath, dramBytes, nocPath)
 		if b > bound {
 			bound = b
 		}
@@ -141,3 +162,22 @@ func (p *Platform) analyticDelayBoundNS(a *App) float64 {
 	}
 	return bound
 }
+
+// auditCurves holds the curves analyticDelayBoundNS composes, one value
+// per distinct input for the life of the auditor. Apps sharing an input
+// pass the very same curve value, which the netcalc interner recognises
+// by its backing array without hashing it again.
+type auditCurves struct {
+	dram  map[int]netcalc.Curve // Scale(dramReq, ReqBytes) per ReqBytes
+	alpha map[tokenKey]netcalc.Curve
+	noc   map[nocKey]netcalc.Curve
+}
+
+// tokenKey is a closed-loop arrival contract: ReqBytes per think time.
+type tokenKey struct {
+	reqBytes int
+	thinkNS  float64
+}
+
+// nocKey is a mesh service curve's input: hop count and contenders.
+type nocKey struct{ hops, contenders int }

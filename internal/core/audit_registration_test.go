@@ -1,8 +1,10 @@
 package core
 
 import (
+	"hash/fnv"
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/dram/wcd"
@@ -91,8 +93,9 @@ func interleavedPlatform(t *testing.T) *Platform {
 
 // TestAuditBoundsMatchReference pins every registered bound to the
 // reference composition bit for bit, on the big mesh (ChannelPartition),
-// a clustered ChannelInterleave platform and the legacy 6-hog platform,
-// including one app that joins after EnableAudit. The contender counts
+// a clustered ChannelInterleave platform, the legacy 6-hog platform and
+// a legacy platform with two request sizes, including one app that
+// joins after EnableAudit. The contender counts
 // are compared on their own too: the NoC term rarely binds today, so a
 // miscounted contender would seldom move a bound.
 func TestAuditBoundsMatchReference(t *testing.T) {
@@ -113,6 +116,9 @@ func TestAuditBoundsMatchReference(t *testing.T) {
 		{"bigmesh", build(BigMeshSpec(0)), noc.Coord{X: 9, Y: 4}},
 		{"interleave", interleavedPlatform, noc.Coord{X: 5, Y: 6}},
 		{"legacy", build(RunSpec{Hogs: 6, HogClass: trace.Infotainment, MemGuard: true, Duration: sim.Millisecond}), noc.Coord{X: 2, Y: 3}},
+		// 256-byte VisionPipeline hogs beside the 64-byte crit and late
+		// apps: two request sizes, so two scaled DRAM curves.
+		{"legacy-vision", build(RunSpec{Hogs: 2, HogClass: trace.VisionPipeline, MemGuard: true, Duration: sim.Millisecond}), noc.Coord{X: 2, Y: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.build(t)
@@ -160,6 +166,56 @@ func TestAuditBoundsMatchReference(t *testing.T) {
 	}
 }
 
+// TestBigMeshAuditRegistrationUnchanged pins what arming the auditor
+// produces: the netcalc cache's call sequence (hits, misses and
+// interned curves, which bench/fingerprints.json hashes through the
+// metrics dump) and every app's registered contract, as an FNV-1a hash
+// over name, bound bits and budget in registration order. Reusing
+// curve values, interning by backing array and configuring MPAM once
+// per PARTID must leave both exactly as they were. The big mesh runs
+// one workload class; the legacy platform adds a second (crit and the
+// Infotainment hogs differ in think time), whose token buckets differ
+// only in rate, which no bound shows but the interned count does.
+func TestBigMeshAuditRegistrationUnchanged(t *testing.T) {
+	legacy := RunSpec{Hogs: 6, HogClass: trace.Infotainment, DSU: true, MemGuard: true, MPAM: true, Duration: sim.Millisecond}
+	for _, tc := range []struct {
+		name                   string
+		spec                   RunSpec
+		hits, misses, interned uint64
+		apps                   int
+		boundsHash             uint64
+	}{
+		{"bigmesh", BigMeshSpec(0), 1485, 51, 45, 512, 0x9fa62d4773344881},
+		{"legacy-protected", legacy, 6, 15, 17, 7, 0x96e77601b22a461b},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
+			spec.Audit = true
+			p, _, err := BuildPlatform(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := p.ncCache.Stats()
+			if st.Hits != tc.hits || st.Misses != tc.misses || st.InternedCurves != tc.interned {
+				t.Errorf("netcalc cache: %d hits, %d misses, %d interned; want %d, %d, %d",
+					st.Hits, st.Misses, st.InternedCurves, tc.hits, tc.misses, tc.interned)
+			}
+			h := fnv.New64a()
+			aud := p.Auditor()
+			for _, name := range aud.Apps() {
+				b := aud.App(name).Bound()
+				h.Write([]byte(name))
+				h.Write([]byte(strconv.FormatUint(math.Float64bits(b.DelayBoundNS), 16)))
+				h.Write([]byte(strconv.Itoa(b.BudgetBytesPerPeriod)))
+			}
+			if got := h.Sum64(); got != tc.boundsHash || len(aud.Apps()) != tc.apps {
+				t.Errorf("%d registered bounds hash to %#x, want %d hashing to %#x",
+					len(aud.Apps()), got, tc.apps, tc.boundsHash)
+			}
+		})
+	}
+}
+
 // TestEnableAuditAllocation gates what arming the auditor costs on the
 // big mesh: per-app registration must stay a few KiB, not a dense
 // histogram array per attribution stage.
@@ -184,11 +240,13 @@ func TestEnableAuditAllocation(t *testing.T) {
 
 // TestBigMeshSetupAllocBudget gates what the big mesh costs before its
 // first event: one BuildPlatform plus EnableAudit, the setup a bigmesh
-// run pays, within 2.5 MiB and 16k heap objects. Every audited app
-// registers one allocation and a histogram holds no counter until it
-// records, so an eager per-app or per-bucket allocation fails here.
+// run pays, within 1.75 MiB and 8k heap objects (about 1.64 MiB in 7.6k
+// objects today, 7.75k under -race). Every audited app registers one
+// allocation, a histogram holds no counter until it records, and the
+// audit curves, MPAM partitions and parallel-only router closures are
+// built once, so an eager per-app or per-bucket allocation fails here.
 func TestBigMeshSetupAllocBudget(t *testing.T) {
-	const maxBytes, maxObjects = 5 << 20 / 2, 16_000 // 2.5 MiB
+	const maxBytes, maxObjects = 7 << 20 / 4, 8_000 // 1.75 MiB
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	p, _, err := BuildPlatform(BigMeshSpec(0))
@@ -241,19 +299,32 @@ func TestBigMeshRunHeapBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkBigMeshSetup measures building the big mesh and arming its
-// auditor, the setup a bigmesh run pays before its first event:
+// BenchmarkBigMeshSetup measures the setup a bigmesh run pays before
+// its first event, layer by layer: build is BuildPlatform, audit is
+// EnableAudit on a freshly built platform (the build is untimed).
 //
 //	go test ./internal/core/ -run '^$' -bench BigMeshSetup -benchmem
 func BenchmarkBigMeshSetup(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p, _, err := BuildPlatform(BigMeshSpec(0))
-		if err != nil {
-			b.Fatal(err)
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := BuildPlatform(BigMeshSpec(0)); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if _, err := p.EnableAudit(AuditOptions{}); err != nil {
-			b.Fatal(err)
+	})
+	b.Run("audit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			p, _, err := BuildPlatform(BigMeshSpec(0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := p.EnableAudit(AuditOptions{}); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 
 	"repro/internal/dsu"
 	"repro/internal/mpam"
@@ -190,6 +191,8 @@ func BuildPlatform(spec RunSpec) (*Platform, *App, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	slots := hogSlots(p, spec)
+	p.reserveApps(spec, slots)
 	if spec.Telemetry || spec.Trace {
 		if _, err := p.EnableTelemetry(spec.Trace); err != nil {
 			return nil, nil, err
@@ -216,33 +219,26 @@ func BuildPlatform(spec RunSpec) (*Platform, *App, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if spec.Scaled() {
-		// Every tile carries AppsPerTile apps; the crit loop holds tile
-		// (0,0)'s first slot, everything else is a hog homed on its
-		// column's cluster.
-		apt := spec.AppsPerTile
-		if apt == 0 {
-			apt = 1
+	for i, s := range slots {
+		if err := buildHog(p, spec, i, s.node, s.cluster); err != nil {
+			return nil, nil, err
 		}
-		i := 0
-		for y := 0; y < p.cfg.Mesh.Height; y++ {
-			for x := 0; x < p.cfg.Mesh.Width; x++ {
-				for k := 0; k < apt; k++ {
-					if x == 0 && y == 0 && k == 0 {
-						continue // crit's slot
-					}
-					node := noc.Coord{X: x, Y: y}
-					if err := buildHog(p, spec, i, node, p.ClusterOfColumn(x)); err != nil {
-						return nil, nil, err
-					}
-					i++
-				}
-			}
+	}
+	if spec.MPAM {
+		// The arbiter's token bucket holds MaxBytesPerNS * 100ns of
+		// credit, so a cap must admit at least one whole request or the
+		// partition can never conform. On the clustered platform hogs
+		// are homed on channels with no uncapped co-runner, so the cap
+		// has to be self-feasible: 0.8 B/ns = an 80-byte burst against
+		// 64-byte requests. The legacy scenario keeps its historical
+		// 0.15 cap (its single arbiter is shared with crit). Hogs share
+		// hogSchemes PARTIDs, each configured once on every channel.
+		capBps := 0.15
+		if spec.Scaled() {
+			capBps = 0.8
 		}
-	} else {
-		for i := 0; i < spec.Hogs; i++ {
-			node := noc.Coord{X: 1 + i%3, Y: i / 3 % 4}
-			if err := buildHog(p, spec, i, node, 0); err != nil {
+		for i := 0; i < min(len(slots), hogSchemes); i++ {
+			if err := p.ConfigureMPAM(mpam.PARTID(hogScheme(i)), mpam.PartitionBW{MaxBytesPerNS: capBps}); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -297,18 +293,78 @@ func BigMeshSpec(partitions int) RunSpec {
 	}
 }
 
+// hogSlot is one aggressor's placement.
+type hogSlot struct {
+	node    noc.Coord
+	cluster int
+}
+
+// hogSlots places the spec's aggressors. Clustered: every tile carries
+// AppsPerTile apps; the crit loop holds tile (0,0)'s first slot and
+// every other slot is a hog homed on its column's cluster. Legacy:
+// spec.Hogs hogs on cluster 0 around the crit node.
+func hogSlots(p *Platform, spec RunSpec) []hogSlot {
+	if !spec.Scaled() {
+		slots := make([]hogSlot, spec.Hogs)
+		for i := range slots {
+			slots[i].node = noc.Coord{X: 1 + i%3, Y: i / 3 % 4}
+		}
+		return slots
+	}
+	apt := max(spec.AppsPerTile, 1)
+	slots := make([]hogSlot, 0, p.cfg.Mesh.Width*p.cfg.Mesh.Height*apt-1)
+	for y := 0; y < p.cfg.Mesh.Height; y++ {
+		for x := 0; x < p.cfg.Mesh.Width; x++ {
+			for k := 0; k < apt; k++ {
+				if x == 0 && y == 0 && k == 0 {
+					continue // crit's slot
+				}
+				slots = append(slots, hogSlot{noc.Coord{X: x, Y: y}, p.ClusterOfColumn(x)})
+			}
+		}
+	}
+	return slots
+}
+
+// reserveApps sizes the (still empty) app table and, under MemGuard,
+// each cluster regulator's entity table for the crit loop plus slots,
+// so neither rehashes while the hogs register.
+func (p *Platform) reserveApps(spec RunSpec, slots []hogSlot) {
+	p.apps = make(map[string]*App, 1+len(slots))
+	p.order = make([]string, 0, 1+len(slots))
+	if !spec.MemGuard {
+		return
+	}
+	perCluster := make([]int, len(p.clusters))
+	for _, s := range slots {
+		perCluster[s.cluster]++
+	}
+	for k, n := range perCluster {
+		if n > 0 && p.regs[k] != nil {
+			p.regs[k].Reserve(n)
+		}
+	}
+}
+
+// hogSchemes is the number of DSU schemes (and so MPAM PARTIDs) the
+// hogs rotate through; hogScheme(i) is hog i's.
+const hogSchemes = 6
+
+func hogScheme(i int) dsu.SchemeID { return dsu.SchemeID(2 + i%hogSchemes) }
+
 // buildHog adds aggressor i at node (on the given cluster) and arms
-// the spec's per-hog mechanisms: MemGuard budget, NI shaper, MPAM cap.
+// the spec's per-hog mechanisms: MemGuard budget and NI shaper. The
+// MPAM cap is per PARTID, so BuildPlatform configures it once for all
+// hogs.
 func buildHog(p *Platform, spec RunSpec, i int, node noc.Coord, cluster int) error {
-	name := fmt.Sprintf("hog%d", i)
+	name := "hog" + strconv.Itoa(i)
 	prof, err := trace.NewProfile(spec.HogClass, uint64(1+i)<<30, spec.Seed+uint64(i))
 	if err != nil {
 		return err
 	}
-	hog, err := p.AddApp(AppConfig{
-		Name: name, Node: node, Cluster: cluster, Scheme: dsu.SchemeID(2 + i%6), Profile: prof,
-	})
-	if err != nil {
+	if _, err := p.AddApp(AppConfig{
+		Name: name, Node: node, Cluster: cluster, Scheme: hogScheme(i), Profile: prof,
+	}); err != nil {
 		return err
 	}
 	if spec.MemGuard {
@@ -318,22 +374,6 @@ func buildHog(p *Platform, spec RunSpec, i int, node noc.Coord, cluster int) err
 	}
 	if spec.Shape {
 		if err := p.SetNodeShaper(node, 256, 0.2); err != nil {
-			return err
-		}
-	}
-	if spec.MPAM {
-		// The arbiter's token bucket holds MaxBytesPerNS * 100ns of
-		// credit, so a cap must admit at least one whole request or the
-		// partition can never conform. On the clustered platform hogs
-		// are homed on channels with no uncapped co-runner, so the cap
-		// has to be self-feasible: 0.8 B/ns = an 80-byte burst against
-		// 64-byte requests. The legacy scenario keeps its historical
-		// 0.15 cap (its single arbiter is shared with crit).
-		capBps := 0.15
-		if spec.Scaled() {
-			capBps = 0.8
-		}
-		if err := p.ConfigureMPAM(mpam.PARTID(hog.Config().Scheme), mpam.PartitionBW{MaxBytesPerNS: capBps}); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mpam"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -51,6 +52,51 @@ func TestBuildPlatformAssemblesSpec(t *testing.T) {
 	p.RunFor(90 * sim.Microsecond)
 	if st := crit.Stats(); st.Issued == 0 {
 		t.Fatal("started platform issued no accesses")
+	}
+}
+
+// TestHogPARTIDsCappedOnEveryChannel checks the MPAM set-up that
+// BuildPlatform does once per PARTID rather than once per hog: on every
+// channel arbiter, every hog's PARTID carries the scenario's cap (0.8
+// B/ns on the big mesh, 0.15 on the legacy platform) and crit's PARTID
+// keeps its guarantee.
+func TestHogPARTIDsCappedOnEveryChannel(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		spec    RunSpec
+		capBps  float64
+		schemes int
+	}{
+		{"bigmesh", BigMeshSpec(0), 0.8, hogSchemes},
+		{"legacy", RunSpec{Hogs: 6, MPAM: true, Duration: sim.Millisecond}, 0.15, 6},
+		{"legacy-2-hogs", RunSpec{Hogs: 2, MPAM: true, Duration: sim.Millisecond}, 0.15, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, crit, err := BuildPlatform(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts := map[mpam.PARTID]bool{}
+			for _, name := range p.order {
+				if name != crit.Name() {
+					parts[p.apps[name].cfg.PARTID] = true
+				}
+			}
+			if len(parts) != tc.schemes {
+				t.Fatalf("hogs use %d PARTIDs, want %d", len(parts), tc.schemes)
+			}
+			for i, ch := range p.chans {
+				for id := range parts {
+					got, ok := ch.arb.Partition(id)
+					if !ok || got.MaxBytesPerNS != tc.capBps || got.MinBytesPerNS != 0 {
+						t.Errorf("channel %d PARTID %d: %+v (configured %v), want a %.2f B/ns cap", i, id, got, ok, tc.capBps)
+					}
+				}
+				if got, _ := ch.arb.Partition(crit.cfg.PARTID); got.MinBytesPerNS != 0.8 || got.Priority != 1 {
+					t.Errorf("channel %d crit PARTID %d: %+v, want min 0.8 B/ns at priority 1", i, crit.cfg.PARTID, got)
+				}
+			}
+		})
 	}
 }
 

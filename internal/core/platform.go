@@ -340,6 +340,7 @@ type Platform struct {
 	// derives it once. dramReqErr is its derivation error.
 	dramReq    netcalc.Curve
 	dramReqErr error
+	audCurves  auditCurves
 }
 
 // New assembles a platform on a fresh engine.

@@ -100,6 +100,15 @@ func New(eng *sim.Engine, cfg Config) (*Regulator, error) {
 	return &Regulator{eng: eng, cfg: cfg, entities: make(map[string]*entity)}, nil
 }
 
+// Reserve sizes an empty entity table for n entities, so registering
+// them does not rehash it; on a table that already holds entities it
+// does nothing.
+func (r *Regulator) Reserve(n int) {
+	if len(r.entities) == 0 {
+		r.entities = make(map[string]*entity, n)
+	}
+}
+
 // SetBudget installs (or updates) an entity's per-period byte budget.
 func (r *Regulator) SetBudget(name string, bytesPerPeriod int) error {
 	if name == "" {

@@ -144,6 +144,15 @@ func (a *Arbiter) Configure(id PARTID, cfg PartitionBW) error {
 	return nil
 }
 
+// Partition returns the controls configured for a PARTID, with ok
+// false when the arbiter has never seen it.
+func (a *Arbiter) Partition(id PARTID) (cfg PartitionBW, ok bool) {
+	if st := a.parts[id]; st != nil {
+		return st.cfg, true
+	}
+	return PartitionBW{}, false
+}
+
 // burstWindowNS is the token-bucket depth for max-bandwidth
 // enforcement, expressed in nanoseconds of credit.
 func (a *Arbiter) burstWindowNS() float64 { return 100 }

@@ -1,9 +1,6 @@
 package netcalc
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Memoized min-plus operator cache.
 //
@@ -67,9 +64,8 @@ const DefaultCacheCapacity = 4096
 
 // Cache is an LRU-memoized view of the netcalc operators.
 type Cache struct {
-	in *interner
-
-	mu         sync.Mutex
+	mu         sync.Mutex // guards the interner too
+	in         *interner
 	entries    map[opKey]*cacheEntry
 	head, tail *cacheEntry // head = most recently used
 	cap        int
@@ -101,9 +97,9 @@ func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	total, live := c.in.interned()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	total, live := c.in.interned()
 	return CacheStats{
 		Hits:           c.hits,
 		Misses:         c.misses,
@@ -114,18 +110,21 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// lookup returns the entry for k, promoting it to most-recently-used.
-func (c *Cache) lookup(k opKey) (*cacheEntry, bool) {
+// lookup interns f and g and finds the stored result of op on them,
+// promoting it to most-recently-used, under one lock. On a miss (e nil)
+// the caller computes from the interned operands and inserts under k.
+func (c *Cache) lookup(op opCode, f, g Curve) (k opKey, fi, gi *internedCurve, e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
+	fi, gi = c.in.intern(f), c.in.intern(g)
+	k = opKey{op, fi.id, gi.id}
+	if e = c.entries[k]; e == nil {
 		c.misses++
-		return nil, false
+		return k, fi, gi, nil
 	}
 	c.hits++
 	c.moveToFront(e)
-	return e, true
+	return k, fi, gi, e
 }
 
 // insert stores e under its key, evicting the least-recently-used
@@ -186,9 +185,8 @@ func (c *Cache) Convolve(f, g Curve) Curve {
 	if c == nil {
 		return Convolve(f, g)
 	}
-	fi, gi := c.in.intern(f), c.in.intern(g)
-	k := opKey{opConvolve, fi.id, gi.id}
-	if e, ok := c.lookup(k); ok {
+	k, fi, gi, e := c.lookup(opConvolve, f, g)
+	if e != nil {
 		return e.curve
 	}
 	out := Convolve(fi.c, gi.c)
@@ -201,9 +199,8 @@ func (c *Cache) DelayBound(alpha, beta Curve) float64 {
 	if c == nil {
 		return DelayBound(alpha, beta)
 	}
-	ai, bi := c.in.intern(alpha), c.in.intern(beta)
-	k := opKey{opDelayBound, ai.id, bi.id}
-	if e, ok := c.lookup(k); ok {
+	k, ai, bi, e := c.lookup(opDelayBound, alpha, beta)
+	if e != nil {
 		return e.scalar
 	}
 	out := DelayBound(ai.c, bi.c)
@@ -222,7 +219,8 @@ func (c *Cache) ConvolveAll(curves ...Curve) Curve {
 	if len(curves) == 0 {
 		return Zero()
 	}
-	order := convOrder(curves)
+	var buf [4]int
+	order := convOrder(buf[:0], curves)
 	out := curves[order[0]]
 	for _, i := range order[1:] {
 		out = c.Convolve(out, curves[i])
@@ -241,17 +239,21 @@ func (c *Cache) DelayBoundThrough(alpha Curve, betas ...Curve) float64 {
 	return c.DelayBound(alpha, c.ConvolveAll(betas...))
 }
 
-// convOrder returns the operand order for ConvolveAll: indices sorted
-// by ascending breakpoint count, stable by position, so the cheapest
-// curves convolve first and equal-size operands keep their caller
-// order.
-func convOrder(curves []Curve) []int {
-	idx := make([]int, len(curves))
-	for i := range idx {
-		idx[i] = i
+// convOrder appends to dst the operand order for ConvolveAll: indices
+// sorted by ascending breakpoint count, stable by position, so the
+// cheapest curves convolve first and equal-size operands keep their
+// caller order. An insertion sort: chains are a handful of operands,
+// and a caller-owned dst keeps the audit path's three-operand tandem
+// off the heap.
+func convOrder(dst []int, curves []Curve) []int {
+	for i, c := range curves {
+		n := len(c.normPoints())
+		j := len(dst)
+		dst = append(dst, i)
+		for ; j > 0 && len(curves[dst[j-1]].normPoints()) > n; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return len(curves[idx[a]].normPoints()) < len(curves[idx[b]].normPoints())
-	})
-	return idx
+	return dst
 }

@@ -1,9 +1,6 @@
 package netcalc
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Canonical curve form and interning.
 //
@@ -42,24 +39,20 @@ func (c Curve) identical(d Curve) bool {
 	return true
 }
 
-// fingerprint hashes the curve's canonical structure (FNV-1a over the
-// float bit patterns). identical curves have identical fingerprints;
-// the interner resolves the (vanishingly rare) collisions by exact
-// structural comparison, so a collision costs a bucket scan, never a
-// wrong answer.
+// fingerprint hashes the curve's canonical structure, one multiply-
+// xorshift round per 64-bit word of float bits. identical curves have
+// identical fingerprints; the interner resolves the (vanishingly rare)
+// collisions by exact structural comparison, so a collision costs a
+// bucket scan, never a wrong answer.
 func (c Curve) fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	const mul = 0x9e3779b97f4a7c15 // 2^64 / golden ratio
+	pts := c.normPoints()
+	h := uint64(len(pts)) * mul
 	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime64
-		}
+		h = (h ^ v) * mul
+		h ^= h >> 32
 	}
-	for _, p := range c.normPoints() {
+	for _, p := range pts {
 		mix(math.Float64bits(p.X))
 		mix(math.Float64bits(p.Y))
 	}
@@ -75,11 +68,36 @@ type internedCurve struct {
 	c  Curve
 }
 
-// interner deduplicates canonical curves. Safe for concurrent use.
+// arrayKey names a curve by its backing array: curves are immutable,
+// so two values sharing the first breakpoint's address, the length and
+// the final slope are the same curve. The pointer in the key pins the
+// array, so it can never be reused for a different curve while the key
+// is in the table.
+type arrayKey struct {
+	first *Point
+	n     int
+	slope uint64
+}
+
+func arrayKeyOf(c Curve) arrayKey {
+	k := arrayKey{n: len(c.pts), slope: math.Float64bits(c.finalSlope)}
+	if len(c.pts) > 0 {
+		k.first = &c.pts[0]
+	}
+	return k
+}
+
+// interner deduplicates canonical curves. It is not safe for
+// concurrent use: a Cache calls it under the cache's lock.
+//
+// A caller that keeps passing the same curve value is recognised by
+// its backing array (byArray) before anything is hashed; any other
+// curve goes through its fingerprint bucket and exact comparison, and
+// its array joins byArray for next time.
 type interner struct {
-	mu      sync.Mutex
 	hash    func(Curve) uint64
 	buckets map[uint64][]*internedCurve
+	byArray map[arrayKey]*internedCurve
 	nextID  uint64 // also the cumulative intern count
 	live    int
 	maxLive int
@@ -89,7 +107,10 @@ type interner struct {
 // threshold (e.g. a long-running service interning a new rate
 // assignment per mode change) flushes the table; ids keep increasing,
 // so cache entries keyed on flushed ids simply stop matching and age
-// out of the LRU — stale ids can never alias a new curve.
+// out of the LRU — stale ids can never alias a new curve. byArray is
+// bounded by the same threshold: equal curves rebuilt on fresh arrays
+// add keys without adding entries, so it is dropped on its own when
+// full (the next lookups take the hash path and refill it).
 const internerFlushThreshold = 1 << 16
 
 func newInterner() *interner {
@@ -102,6 +123,7 @@ func newInternerWithHash(hash func(Curve) uint64) *interner {
 	return &interner{
 		hash:    hash,
 		buckets: make(map[uint64][]*internedCurve),
+		byArray: make(map[arrayKey]*internedCurve),
 		maxLive: internerFlushThreshold,
 	}
 }
@@ -109,29 +131,38 @@ func newInternerWithHash(hash func(Curve) uint64) *interner {
 // intern returns the canonical entry for c, creating one if this
 // structure has not been seen (or was flushed).
 func (in *interner) intern(c Curve) *internedCurve {
+	k := arrayKeyOf(c)
+	if e, ok := in.byArray[k]; ok {
+		return e
+	}
 	fp := in.hash(c)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, e := range in.buckets[fp] {
-		if e.c.identical(c) {
-			return e
+	var e *internedCurve
+	for _, b := range in.buckets[fp] {
+		if b.c.identical(c) {
+			e = b
+			break
 		}
 	}
-	if in.live >= in.maxLive {
-		in.buckets = make(map[uint64][]*internedCurve)
-		in.live = 0
+	if e == nil {
+		if in.live >= in.maxLive {
+			in.buckets = make(map[uint64][]*internedCurve)
+			in.byArray = make(map[arrayKey]*internedCurve)
+			in.live = 0
+		}
+		in.nextID++
+		e = &internedCurve{id: in.nextID, c: c}
+		in.buckets[fp] = append(in.buckets[fp], e)
+		in.live++
 	}
-	in.nextID++
-	e := &internedCurve{id: in.nextID, c: c}
-	in.buckets[fp] = append(in.buckets[fp], e)
-	in.live++
+	if len(in.byArray) >= in.maxLive {
+		in.byArray = make(map[arrayKey]*internedCurve)
+	}
+	in.byArray[k] = e
 	return e
 }
 
 // interned returns the cumulative number of distinct curves interned
 // (monotone across flushes) and the current live table size.
 func (in *interner) interned() (total uint64, live int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	return in.nextID, in.live
 }

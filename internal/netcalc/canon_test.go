@@ -132,3 +132,61 @@ func TestInternFlush(t *testing.T) {
 		t.Fatalf("live = %d exceeds threshold %d", live, in.maxLive)
 	}
 }
+
+// TestInternByBackingArray checks the interner's array index: a curve
+// value seen before is recognised without hashing, an equal curve on a
+// fresh array still finds its entry through the hash, a curve over a
+// prefix of the same array or with another final slope is a different
+// curve, and a flush leaves no stale array key behind.
+func TestInternByBackingArray(t *testing.T) {
+	hashes := 0
+	in := newInternerWithHash(func(c Curve) uint64 {
+		hashes++
+		return c.fingerprint()
+	})
+	c := MustCurve([]Point{{0, 0}, {10, 0}, {20, 5}, {40, 10}}, 1)
+	e := in.intern(c)
+	if again := in.intern(c); again != e || hashes != 1 {
+		t.Fatalf("re-interning the same value: entry %p vs %p after %d hashes, want the same entry after 1", again, e, hashes)
+	}
+	rebuilt := MustCurve(c.Points(), c.FinalSlope())
+	if got := in.intern(rebuilt); got != e || hashes != 2 {
+		t.Fatalf("equal curve on a fresh array: entry %p vs %p after %d hashes, want the same entry after 2", got, e, hashes)
+	}
+	if got := in.intern(rebuilt); got != e || hashes != 2 {
+		t.Fatalf("the fresh array was not indexed: %d hashes, want 2", hashes)
+	}
+	for name, d := range map[string]Curve{
+		"prefix":      {pts: c.pts[:2], finalSlope: c.finalSlope},
+		"final-slope": {pts: c.pts, finalSlope: 2},
+	} {
+		before := hashes
+		if got := in.intern(d); got == e || got.id == e.id || !got.c.identical(d) {
+			t.Errorf("%s curve over the same array aliased the original entry", name)
+		}
+		if hashes != before+1 {
+			t.Errorf("%s curve over the same array skipped the hash path", name)
+		}
+	}
+
+	in.maxLive = 4
+	var before []Curve // interned since the last flush, then flushed
+	for i := 0; ; i++ {
+		if i == in.maxLive {
+			t.Fatal("no flush after maxLive new curves")
+		}
+		live := in.live
+		d := TokenBucket(float64(i+1), 1)
+		in.intern(d)
+		if in.live < live {
+			break
+		}
+		before = append(before, d)
+	}
+	for _, d := range append(before, c) {
+		n := hashes
+		if got := in.intern(d); got.id <= e.id || hashes != n+1 {
+			t.Fatalf("after a flush %v matched a stale array key (id %d, %d new hashes)", d, got.id, hashes-n)
+		}
+	}
+}

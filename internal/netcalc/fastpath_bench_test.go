@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/admission"
+	"repro/internal/dram/wcd"
 	"repro/internal/netcalc"
 )
 
@@ -60,6 +61,29 @@ func BenchmarkConvolveCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
 		cache.Convolve(p[0], p[1])
+	}
+}
+
+// BenchmarkCacheDelayBoundThroughHit measures one audited app's
+// registration once the cache is warm: the token bucket through the
+// NoC, WCD DRAM and NoC tandem, every operand a value the cache has
+// seen, so both convolutions and the delay bound hit the memo.
+func BenchmarkCacheDelayBoundThroughHit(b *testing.B) {
+	dramReq, err := wcd.ServiceCurve(wcd.DefaultParams(), 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	alpha := netcalc.TokenBucket(64, 0.64)
+	noc := netcalc.RateLatency(16.0/64, 17)
+	dram := netcalc.Scale(dramReq, 64)
+	cache := netcalc.NewCache(0)
+	want := cache.DelayBoundThrough(alpha, noc, dram, noc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := cache.DelayBoundThrough(alpha, noc, dram, noc); got != want {
+			b.Fatalf("hit returned %v, want %v", got, want)
+		}
 	}
 }
 

@@ -215,11 +215,14 @@ func build(cfg Config, par *sim.Parallel, engOf func(Coord) *sim.Engine, partOf 
 	n := &NoC{cfg: cfg, par: par}
 	n.routers = make([]*router, cfg.Width*cfg.Height)
 	n.partOf = make([]int32, cfg.Width*cfg.Height)
+	slab := make([]router, cfg.Width*cfg.Height) // one allocation for the mesh
 	for y := 0; y < cfg.Height; y++ {
 		for x := 0; x < cfg.Width; x++ {
 			c := Coord{x, y}
-			n.partOf[n.idx(c)] = partOf(c)
-			n.routers[n.idx(c)] = newRouter(n, c, engOf(c))
+			i := n.idx(c)
+			n.partOf[i] = partOf(c)
+			n.routers[i] = &slab[i]
+			initRouter(&slab[i], n, c, engOf(c))
 		}
 	}
 	n.eng = n.routers[0].eng

@@ -27,7 +27,7 @@ type router struct {
 	// creditFns[p] returns one credit to input port p's bookkeeping on
 	// THIS router; prebound so cross-cut credit returns reuse one
 	// function value per (router, port) instead of closing over state
-	// per flit.
+	// per flit. Nil on a fabric without a Parallel kernel.
 	creditFns [numPorts]sim.Event
 }
 
@@ -43,23 +43,28 @@ type outPort struct {
 	// inflight is the flit currently traversing the port (valid while
 	// busy); done is the port's traversal-complete callback, bound
 	// once at construction so the hot path schedules it without
-	// allocating a closure per flit. crossDone is its cross-cut twin:
-	// when the downstream arrival was prescheduled through the kernel
-	// mailbox it only frees the port and re-arbitrates.
+	// allocating a closure per flit. crossDone is its cross-cut twin
+	// (nil without a Parallel kernel): when the downstream arrival was
+	// prescheduled through the kernel mailbox it only frees the port and
+	// re-arbitrates.
 	inflight  flit
 	done      func()
 	crossDone func()
 }
 
-func newRouter(n *NoC, at Coord, eng *sim.Engine) *router {
-	r := &router{noc: n, at: at, eng: eng}
+// initRouter sets up the zero router r at node at.
+func initRouter(r *router, n *NoC, at Coord, eng *sim.Engine) {
+	r.noc, r.at, r.eng = n, at, eng
 	for p := Port(0); p < numPorts; p++ {
 		p := p
 		r.out[p].done = func() { r.finishFlit(p) }
-		r.out[p].crossDone = func() { r.freePort(p) }
-		r.creditFns[p] = func() {
-			r.credits[p]++
-			r.kick()
+		if n.par != nil {
+			// Only a partitioned fabric has cuts to cross.
+			r.out[p].crossDone = func() { r.freePort(p) }
+			r.creditFns[p] = func() {
+				r.credits[p]++
+				r.kick()
+			}
 		}
 		if p == Local {
 			// Ejection consumes flits immediately; effectively infinite.
@@ -70,7 +75,6 @@ func newRouter(n *NoC, at Coord, eng *sim.Engine) *router {
 			r.credits[p] = n.cfg.BufferFlits
 		}
 	}
-	return r
 }
 
 // kick schedules arbitration for every output port that may now make

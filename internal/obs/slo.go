@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/telemetry"
 )
 
 // SLO is one declarative service-level objective evaluated over
@@ -239,25 +237,4 @@ func LoadSLOs(r io.Reader) ([]SLO, error) {
 		}
 	}
 	return slos, nil
-}
-
-// PublishSLOMetrics mirrors the statuses into a telemetry registry as
-// slo.<name>.{attainment,burn_rate,met,runs} gauges — the hook that
-// puts SLO state on the live /metrics endpoint next to the audit
-// gauges it summarizes.
-func PublishSLOMetrics(reg *telemetry.Registry, statuses []SLOStatus) {
-	if reg == nil {
-		return
-	}
-	for _, st := range statuses {
-		prefix := "slo." + st.SLO.Name + "."
-		reg.Gauge(prefix + "attainment").Set(st.Attainment)
-		reg.Gauge(prefix + "burn_rate").Set(st.BurnRate)
-		met := 0.0
-		if st.Met {
-			met = 1
-		}
-		reg.Gauge(prefix + "met").Set(met)
-		reg.Gauge(prefix + "runs").Set(float64(st.Runs))
-	}
 }

@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 // contRec builds a healthy contention record with one metric.
@@ -147,31 +144,4 @@ func TestLoadSLOs(t *testing.T) {
 	if _, err := LoadSLOs(strings.NewReader(`[{"nmae":"typo"}]`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-}
-
-func TestPublishSLOMetrics(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	PublishSLOMetrics(reg, []SLOStatus{{
-		SLO: SLO{Name: "bound-conformance"}, Runs: 4,
-		Attainment: 1, BurnRate: 0, Met: true,
-	}})
-	if v := reg.Gauge("slo.bound-conformance.attainment").Value(); v != 1 {
-		t.Fatalf("attainment gauge = %v", v)
-	}
-	if v := reg.Gauge("slo.bound-conformance.met").Value(); v != 1 {
-		t.Fatalf("met gauge = %v", v)
-	}
-	if v := reg.Gauge("slo.bound-conformance.runs").Value(); v != 4 {
-		t.Fatalf("runs gauge = %v", v)
-	}
-	// The exposition must stay lintable OpenMetrics.
-	var buf bytes.Buffer
-	if err := reg.WriteOpenMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "slo_bound_conformance_attainment 1") {
-		t.Fatalf("exposition missing slo gauge:\n%s", buf.String())
-	}
-	// Nil registry is a no-op.
-	PublishSLOMetrics(nil, nil)
 }
