@@ -482,16 +482,18 @@ func BenchmarkMemguard(b *testing.B) {
 			b.Fatal(err)
 		}
 		per := 2048 / entities
-		for i := 0; i < entities; i++ {
-			if err := reg.SetBudget(fmt.Sprintf("e%d", i), per); err != nil {
+		es := make([]*memguard.Entity, entities)
+		for i := range es {
+			es[i] = reg.Bind(fmt.Sprintf("e%d", i))
+			if err := es[i].SetBudget(per); err != nil {
 				b.Fatal(err)
 			}
 		}
 		for step := 0; step < 100; step++ {
 			at := sim.Duration(step) * sim.NS(200)
 			eng.At(at, func() {
-				for i := 0; i < entities; i++ {
-					_ = reg.Request(fmt.Sprintf("e%d", i), 2*per, nil)
+				for _, e := range es {
+					_ = e.Request(2*per, nil)
 				}
 			})
 		}

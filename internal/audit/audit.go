@@ -158,6 +158,9 @@ type Auditor struct {
 	order      []string
 	violations []Violation
 	seq        uint64
+	// free is the rest of the array Reserve allocated; Register hands
+	// app handles out from it before allocating one by one.
+	free []AppAuditor
 }
 
 // New builds an empty auditor.
@@ -168,15 +171,16 @@ func New(cfg Config) *Auditor {
 	return &Auditor{cfg: cfg, apps: make(map[string]*AppAuditor)}
 }
 
-// Reserve sizes an empty auditor's app table for n registrations, so
-// registering them does not rehash it; once an app is registered it
-// does nothing.
+// Reserve sizes an empty auditor for n registrations: the app table
+// does not rehash and Register hands the n app handles out from one
+// array. Once an app is registered it does nothing.
 func (a *Auditor) Reserve(n int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if len(a.apps) == 0 {
 		a.apps = make(map[string]*AppAuditor, n)
 		a.order = make([]string, 0, n)
+		a.free = make([]AppAuditor, n)
 	}
 }
 
@@ -188,7 +192,12 @@ func (a *Auditor) Register(app string, b Bound) *AppAuditor {
 	defer a.mu.Unlock()
 	aa := a.apps[app]
 	if aa == nil {
-		aa = &AppAuditor{au: a, name: app}
+		if len(a.free) > 0 {
+			aa, a.free = &a.free[0], a.free[1:]
+		} else {
+			aa = new(AppAuditor)
+		}
+		aa.au, aa.name = a, app
 		a.apps[app] = aa
 		a.order = append(a.order, app)
 	}
@@ -286,7 +295,8 @@ type AppAuditor struct {
 	stageSum   [NumStages]sim.Duration
 	stageMax   [NumStages]sim.Duration
 
-	// Held by value so registering an app is one allocation.
+	// Held by value so an app's state is one allocation, or none from a
+	// reserved array.
 	hist       telemetry.Histogram
 	stageHists [NumStages]telemetry.Histogram
 }

@@ -45,8 +45,8 @@ type Config struct {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
-		return fmt.Errorf("cache: Sets must be a positive power of two, got %d", c.Sets)
+	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 || c.Sets > maxSets {
+		return fmt.Errorf("cache: Sets must be a power of two in 1..%d, got %d", maxSets, c.Sets)
 	}
 	if c.Ways <= 0 || c.Ways > 64 {
 		return fmt.Errorf("cache: Ways must be in 1..64, got %d", c.Ways)
@@ -57,14 +57,20 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// maxSets keeps every set's slot number inside the int32 set index.
+const maxSets = 1 << 30
+
 // line is one cache line's metadata.
 type line struct {
-	valid   bool
 	tag     uint64
 	owner   Owner
-	dirty   bool
 	lastUse uint64 // LRU stamp
+	valid   bool
+	dirty   bool
 }
+
+// blockSets is how many installed sets share one block of line storage.
+const blockSets = 16
 
 // Result reports the outcome of one access.
 type Result struct {
@@ -102,10 +108,15 @@ func (s Stats) MissRate() float64 {
 // Not safe for concurrent use (single-threaded simulation kernel).
 type Cache struct {
 	cfg Config
-	// sets[i] is nil until set i first installs a line, so a cache
-	// costs only the sets its workload touches.
-	sets  [][]line
-	clock uint64
+	// sets[i] is 0 until set i first installs a line, then 1 + the
+	// set's slot. Slots are numbered in install order and stored
+	// blockSets to a block, so a cache costs a pointer-free 4 bytes per
+	// set plus storage for the sets its workload touches, and a block
+	// is never copied or moved once allocated.
+	sets   []int32
+	blocks [][]line
+	slots  int // slots handed out
+	clock  uint64
 
 	stats map[Owner]*Stats
 	// occupancy[owner] counts resident lines per owner.
@@ -113,6 +124,7 @@ type Cache struct {
 
 	setShift uint
 	setMask  uint64
+	tagShift uint // setShift + log2(Sets)
 
 	tel *telemetryState
 }
@@ -127,7 +139,7 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:       cfg,
-		sets:      make([][]line, cfg.Sets),
+		sets:      make([]int32, cfg.Sets),
 		stats:     make(map[Owner]*Stats),
 		occupancy: make(map[Owner]int),
 	}
@@ -135,6 +147,7 @@ func New(cfg Config) (*Cache, error) {
 		c.setShift++
 	}
 	c.setMask = uint64(cfg.Sets - 1)
+	c.tagShift = c.setShift + uint(log2(cfg.Sets))
 	return c, nil
 }
 
@@ -148,7 +161,7 @@ func (c *Cache) SetIndex(addr uint64) int {
 
 // tagOf returns the tag bits of an address.
 func (c *Cache) tagOf(addr uint64) uint64 {
-	return addr >> c.setShift >> uint(log2(c.cfg.Sets))
+	return addr >> c.tagShift
 }
 
 func log2(n int) int {
@@ -160,17 +173,39 @@ func log2(n int) int {
 	return k
 }
 
+// slot returns the ways of installed slot i.
+func (c *Cache) slot(i int) []line {
+	w := uint(c.cfg.Ways)
+	off := uint(i) % blockSets * w
+	return c.blocks[uint(i)/blockSets][off : off+w : off+w]
+}
+
+// install gives set its slot, allocating a new block when the last is
+// full.
+func (c *Cache) install(set int) []line {
+	i := c.slots
+	if i%blockSets == 0 {
+		c.blocks = append(c.blocks, make([]line, blockSets*c.cfg.Ways))
+	}
+	c.slots++
+	c.sets[set] = int32(i + 1)
+	return c.slot(i)
+}
+
 // Access performs one read or write by owner at addr. On a miss the
 // line is installed into an allowed way (LRU victim among them); if
 // the policy allows no ways, the access bypasses the cache. A set
-// that has never installed a line is nil and reads as all-invalid:
-// its first install allocates it and takes the lowest allowed way,
-// the first invalid way an allocated set would pick.
+// that has never installed a line has no slot and reads as
+// all-invalid: its first install takes one and the lowest allowed
+// way, the first invalid way an installed set would pick.
 func (c *Cache) Access(owner Owner, addr uint64, write bool) Result {
 	c.clock++
 	set := c.SetIndex(addr)
 	tag := c.tagOf(addr)
-	lines := c.sets[set]
+	var lines []line
+	if s := c.sets[set]; s != 0 {
+		lines = c.slot(int(s - 1))
+	}
 	st := c.ownerStats(owner)
 
 	for i := range lines {
@@ -199,8 +234,7 @@ func (c *Cache) Access(owner Owner, addr uint64, write bool) Result {
 		if allowed == 0 {
 			return Result{} // allocation denied: bypass
 		}
-		lines = make([]line, c.cfg.Ways)
-		c.sets[set] = lines
+		lines = c.install(set)
 	}
 	victim := -1
 	var victimUse uint64 = ^uint64(0)
@@ -260,12 +294,14 @@ func (c *Cache) Stats(owner Owner) Stats {
 }
 
 // Flush invalidates every line owned by owner (writebacks counted),
-// modelling a partition teardown.
+// modelling a partition teardown. It walks the line storage, which
+// holds only the installed sets and the all-invalid rest of the last
+// block.
 func (c *Cache) Flush(owner Owner) int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
+	for _, b := range c.blocks {
+		for i := range b {
+			l := &b[i]
 			if l.valid && l.owner == owner {
 				if l.dirty {
 					c.ownerStats(owner).Writebacks++

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// eagerCache is the reference model for lazily allocated sets: every
+// eagerCache is the reference model for lazily installed sets: every
 // set is built up front, and Access and Flush follow the same LRU and
 // accounting rules. Set index and tag come from the cache under test.
 type eagerCache struct {
@@ -183,31 +183,116 @@ func TestLazySetsMatchEagerModel(t *testing.T) {
 	}
 }
 
+// installed counts the sets holding a slot.
+func installed(c *Cache) (n int) {
+	for _, s := range c.sets {
+		if s != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // TestNewAllocatesNoSets pins the lazy layout: New builds only the
-// set index, a miss the policy denies allocates nothing, and a miss
-// that may install allocates exactly the one set it lands in.
+// set index and no line storage, a miss the policy denies installs
+// nothing, and a miss that may install gives exactly the one set it
+// lands in a slot of Ways lines.
 func TestNewAllocatesNoSets(t *testing.T) {
 	cfg := Config{Sets: 2048, Ways: 16, LineSize: 64, Policy: NewWayPartition(map[Owner]uint64{1: 0, 2: 1 << 16})}
 	c := mustCache(t, cfg)
-	allocated := func() (n int) {
-		for _, s := range c.sets {
-			if s != nil {
-				n++
-			}
-		}
-		return n
-	}
-	if n := allocated(); n != 0 {
-		t.Fatalf("New allocated %d sets, want 0", n)
+	if n := installed(c); n != 0 || len(c.blocks) != 0 {
+		t.Fatalf("New installed %d sets in %d blocks, want none", n, len(c.blocks))
 	}
 	for _, o := range []Owner{1, 2} { // no way, and only a way beyond Ways
-		if r := c.Access(o, addrFor(c, 5, 1), false); r.Allocated || allocated() != 0 {
-			t.Fatalf("owner %d: denied miss = %+v with %d sets allocated, want a bypass allocating none", o, r, allocated())
+		if r := c.Access(o, addrFor(c, 5, 1), false); r.Allocated || installed(c) != 0 || len(c.blocks) != 0 {
+			t.Fatalf("owner %d: denied miss = %+v with %d sets installed, want a bypass installing none", o, r, installed(c))
 		}
 	}
 	c.Access(0, addrFor(c, 5, 1), false)
 	c.Access(0, addrFor(c, 5, 1), true)
-	if n := allocated(); n != 1 || len(c.sets[5]) != cfg.Ways {
-		t.Fatalf("after one install: %d sets allocated (set 5 has %d ways), want set 5 alone", n, len(c.sets[5]))
+	if n := installed(c); n != 1 || c.sets[5] != 1 || len(c.slot(0)) != cfg.Ways || len(c.blocks) != 1 {
+		t.Fatalf("after one install: %d sets installed (set 5 holds slot %d), %d blocks; want set 5 alone in slot 1 of one block",
+			n, c.sets[5], len(c.blocks))
+	}
+}
+
+// TestInstallNeverMovesInstalledSets installs sets across several
+// blocks, in an order unrelated to their index, and requires every
+// installed set's lines to stay at the address they were installed at
+// and keep their contents: a new block is appended, never copied over
+// the old ones.
+func TestInstallNeverMovesInstalledSets(t *testing.T) {
+	cfg := Config{Sets: 256, Ways: 4, LineSize: 64}
+	c := mustCache(t, cfg)
+	rnd := newRand(17)
+	at := map[int]*line{}
+	for len(at) < 5*blockSets+3 {
+		set := int(rnd() % uint64(cfg.Sets))
+		c.Access(Owner(set%3), addrFor(c, set, uint64(set)), false)
+		if _, ok := at[set]; !ok {
+			at[set] = &c.slot(int(c.sets[set] - 1))[0]
+		}
+		for s, first := range at {
+			if got := &c.slot(int(c.sets[s] - 1))[0]; got != first {
+				t.Fatalf("set %d moved after %d installs", s, len(at))
+			}
+		}
+	}
+	if want := (len(at) + blockSets - 1) / blockSets; len(c.blocks) != want {
+		t.Fatalf("%d installed sets in %d blocks, want %d", len(at), len(c.blocks), want)
+	}
+	for set := range at {
+		if r := c.Access(Owner(set%3), addrFor(c, set, uint64(set)), false); !r.Hit {
+			t.Fatalf("set %d lost its line after later installs", set)
+		}
+	}
+}
+
+// TestFlushWalksOnlyInstalledSets builds a cache with a million sets,
+// installs a few, and drops the set index before flushing: Flush must
+// still find every line, so it reads only the line storage, whose size
+// is the installed sets rounded up to one block.
+func TestFlushWalksOnlyInstalledSets(t *testing.T) {
+	cfg := Config{Sets: 1 << 20, Ways: 8, LineSize: 64}
+	c := mustCache(t, cfg)
+	for i, set := range []int{3, 1 << 19, 77, 1<<20 - 1, 512} {
+		c.Access(Owner(i%2), addrFor(c, set, 1), i%3 == 0)
+		c.Access(Owner(i%2), addrFor(c, set, 2), false)
+	}
+	if len(c.blocks) != 1 {
+		t.Fatalf("5 installed sets in %d blocks, want 1", len(c.blocks))
+	}
+	c.sets = nil
+	if n0, n1 := c.Flush(0), c.Flush(1); n0 != 6 || n1 != 4 {
+		t.Fatalf("Flush = %d, %d lines; want 6, 4", n0, n1)
+	}
+	for o := Owner(0); o < 2; o++ {
+		if occ, wb := c.Occupancy(o), c.Stats(o).Writebacks; occ != 0 || wb != 1 {
+			t.Fatalf("owner %d after Flush: occupancy %d and %d writebacks; want 0 and 1", o, occ, wb)
+		}
+	}
+}
+
+// BenchmarkAccess drives a cache of the big mesh's L3 shape (2048 sets
+// of 16 ways) with a random stream over three times its capacity, so
+// both the hit and the install-and-evict paths go through the set
+// index.
+//
+//	go test ./internal/cache/ -run '^$' -bench Access -benchmem
+func BenchmarkAccess(b *testing.B) {
+	cfg := Config{Sets: 2048, Ways: 16, LineSize: 64}
+	c, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rnd := newRand(1)
+	addrs := make([]uint64, 4096)
+	for i := range addrs {
+		addrs[i] = rnd() % uint64(3*cfg.Sets*cfg.Ways) * 64
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Access(Owner(i&3), addrs[i&4095], i%3 == 0)
 	}
 }

@@ -62,9 +62,10 @@ type App struct {
 	// partitioned clustered fabric. Everything the app schedules on its
 	// own behalf goes here.
 	eng *sim.Engine
-	// reg is the app's cluster's MemGuard regulator (nil when
-	// regulation is disabled).
-	reg *memguard.Regulator
+	// mg is the app's entity on its cluster's MemGuard regulator, bound
+	// at registration (nil when regulation is disabled); it passes
+	// requests through until the app is given a budget.
+	mg *memguard.Entity
 
 	running bool
 	count   uint64
@@ -203,19 +204,42 @@ func (p *Platform) AddApp(cfg AppConfig) (*App, error) {
 	if cfg.PARTID == 0 {
 		cfg.PARTID = mpam.PARTID(cfg.Scheme)
 	}
-	a := &App{p: p, cfg: cfg}
+	a := p.newApp()
+	a.p, a.cfg = p, cfg
 	a.stepFn = a.step
-	a.respFlow = cfg.Name + ":resp"
+	a.respFlow = p.joinName(cfg.Name, ":resp")
 	a.ni, _ = p.mesh.NI(cfg.Node)
 	a.eng = p.mesh.EngineAt(cfg.Node)
-	a.reg = p.ClusterRegulator(cfg.Cluster)
+	if reg := p.ClusterRegulator(cfg.Cluster); reg != nil {
+		a.mg = reg.Bind(cfg.Name)
+	}
 	p.apps[cfg.Name] = a
-	p.order = append(p.order, cfg.Name)
+	p.order = append(p.order, a)
 	p.homed[p.HomeChannel(cfg.Cluster)]++
 	if p.aud != nil {
 		p.registerAudit(a)
 	}
 	return a, nil
+}
+
+// newApp returns a zero App, from the reserved array while it lasts.
+func (p *Platform) newApp() *App {
+	if len(p.freeApps) == 0 {
+		return new(App)
+	}
+	a := &p.freeApps[0]
+	p.freeApps = p.freeApps[1:]
+	return a
+}
+
+// joinName returns a+b written into the platform's name buffer rather
+// than a fresh allocation. A strings.Builder never rewrites bytes it
+// has handed out, so each name stays valid as the buffer grows.
+func (p *Platform) joinName(a, b string) string {
+	start := p.names.Len()
+	p.names.WriteString(a)
+	p.names.WriteString(b)
+	return p.names.String()[start:]
 }
 
 // App returns a registered application.
@@ -228,7 +252,13 @@ func (p *Platform) App(name string) (*App, error) {
 }
 
 // Apps returns the registered app names in registration order.
-func (p *Platform) Apps() []string { return append([]string(nil), p.order...) }
+func (p *Platform) Apps() []string {
+	names := make([]string, len(p.order))
+	for i, a := range p.order {
+		names[i] = a.cfg.Name
+	}
+	return names
+}
 
 // Name returns the app's name.
 func (a *App) Name() string { return a.cfg.Name }
@@ -293,10 +323,10 @@ func (a *App) step() {
 	a.misses++
 	t.ch, t.bank, t.row = a.p.route(addr, a.cfg.Cluster)
 
-	if a.reg != nil {
+	if a.mg != nil {
 		// MemGuard meters misses (the traffic that actually reaches
 		// memory), per application.
-		if err := a.reg.Request(a.cfg.Name, a.cfg.Profile.ReqBytes, t.issueFn); err == nil {
+		if err := a.mg.Request(a.cfg.Profile.ReqBytes, t.issueFn); err == nil {
 			return
 		}
 	}

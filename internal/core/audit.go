@@ -52,8 +52,8 @@ func (p *Platform) EnableAudit(opts AuditOptions) (*audit.Auditor, error) {
 		noc:   make(map[nocKey]netcalc.Curve),
 	}
 	p.aud.Reserve(len(p.order))
-	for _, name := range p.order {
-		p.registerAudit(p.apps[name])
+	for _, a := range p.order {
+		p.registerAudit(a)
 	}
 	// Per-flow NoC histograms are single-writer and sample-order
 	// dependent, so a clustered platform keeps them off at every
@@ -77,8 +77,8 @@ func (p *Platform) registerAudit(a *App) {
 	} else {
 		b.DelayBoundNS = p.analyticDelayBoundNS(a)
 	}
-	if a.reg != nil {
-		if budget, ok := a.reg.Budget(a.cfg.Name); ok {
+	if a.mg != nil {
+		if budget, ok := a.mg.Budget(); ok {
 			b.BudgetBytesPerPeriod = budget
 		}
 	}
@@ -155,9 +155,9 @@ func (p *Platform) analyticDelayBoundNS(a *App) float64 {
 			bound = b
 		}
 	}
-	if a.reg != nil {
-		if _, budgeted := a.reg.Budget(a.cfg.Name); budgeted {
-			bound += a.reg.Period().Nanoseconds()
+	if a.mg != nil {
+		if _, budgeted := a.mg.Budget(); budgeted {
+			bound += p.ClusterRegulator(a.cfg.Cluster).Period().Nanoseconds()
 		}
 	}
 	return bound

@@ -192,7 +192,7 @@ func BuildPlatform(spec RunSpec) (*Platform, *App, error) {
 		return nil, nil, err
 	}
 	slots := hogSlots(p, spec)
-	p.reserveApps(spec, slots)
+	p.reserveApps(slots)
 	if spec.Telemetry || spec.Trace {
 		if _, err := p.EnableTelemetry(spec.Trace); err != nil {
 			return nil, nil, err
@@ -219,8 +219,9 @@ func BuildPlatform(spec RunSpec) (*Platform, *App, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	hogProfiles := trace.NewProfiles(spec.HogClass, len(slots))
 	for i, s := range slots {
-		if err := buildHog(p, spec, i, s.node, s.cluster); err != nil {
+		if err := buildHog(p, spec, hogProfiles, i, s.node, s.cluster); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -326,24 +327,43 @@ func hogSlots(p *Platform, spec RunSpec) []hogSlot {
 	return slots
 }
 
-// reserveApps sizes the (still empty) app table and, under MemGuard,
-// each cluster regulator's entity table for the crit loop plus slots,
-// so neither rehashes while the hogs register.
-func (p *Platform) reserveApps(spec RunSpec, slots []hogSlot) {
-	p.apps = make(map[string]*App, 1+len(slots))
-	p.order = make([]string, 0, 1+len(slots))
-	if !spec.MemGuard {
+// reserveApps sizes the (still empty) platform for the crit loop on
+// cluster 0 plus slots: one array of apps, the app table, the name
+// buffer, and each regulator's entities (every app binds one), so
+// registering them neither rehashes a table nor allocates per app.
+func (p *Platform) reserveApps(slots []hogSlot) {
+	n := 1 + len(slots)
+	p.apps = make(map[string]*App, n)
+	p.order = make([]*App, 0, n)
+	p.freeApps = make([]App, n)
+	// "crit:resp", then each hog's name twice and ":resp".
+	digits := len(strconv.Itoa(len(slots)))
+	p.names.Grow(len("crit:resp") + len(slots)*(2*(len("hog")+digits)+len(":resp")))
+	if !p.distributed {
+		if p.reg != nil {
+			p.reg.Reserve(n)
+		}
 		return
 	}
 	perCluster := make([]int, len(p.clusters))
+	perCluster[0] = 1
 	for _, s := range slots {
 		perCluster[s.cluster]++
 	}
-	for k, n := range perCluster {
-		if n > 0 && p.regs[k] != nil {
-			p.regs[k].Reserve(n)
+	for k, m := range perCluster {
+		if m > 0 && p.regs[k] != nil {
+			p.regs[k].Reserve(m)
 		}
 	}
+}
+
+// hogName returns "hog<i>" from the platform's name buffer.
+func (p *Platform) hogName(i int) string {
+	start := p.names.Len()
+	var digits [20]byte
+	p.names.WriteString("hog")
+	p.names.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	return p.names.String()[start:]
 }
 
 // hogSchemes is the number of DSU schemes (and so MPAM PARTIDs) the
@@ -352,23 +372,23 @@ const hogSchemes = 6
 
 func hogScheme(i int) dsu.SchemeID { return dsu.SchemeID(2 + i%hogSchemes) }
 
-// buildHog adds aggressor i at node (on the given cluster) and arms
-// the spec's per-hog mechanisms: MemGuard budget and NI shaper. The
-// MPAM cap is per PARTID, so BuildPlatform configures it once for all
-// hogs.
-func buildHog(p *Platform, spec RunSpec, i int, node noc.Coord, cluster int) error {
-	name := "hog" + strconv.Itoa(i)
-	prof, err := trace.NewProfile(spec.HogClass, uint64(1+i)<<30, spec.Seed+uint64(i))
+// buildHog adds aggressor i at node (on the given cluster), its
+// profile from profiles, and arms the spec's per-hog mechanisms:
+// MemGuard budget and NI shaper. The MPAM cap is per PARTID, so
+// BuildPlatform configures it once for all hogs.
+func buildHog(p *Platform, spec RunSpec, profiles *trace.Profiles, i int, node noc.Coord, cluster int) error {
+	prof, err := profiles.New(uint64(1+i)<<30, spec.Seed+uint64(i))
 	if err != nil {
 		return err
 	}
-	if _, err := p.AddApp(AppConfig{
-		Name: name, Node: node, Cluster: cluster, Scheme: hogScheme(i), Profile: prof,
-	}); err != nil {
+	a, err := p.AddApp(AppConfig{
+		Name: p.hogName(i), Node: node, Cluster: cluster, Scheme: hogScheme(i), Profile: prof,
+	})
+	if err != nil {
 		return err
 	}
 	if spec.MemGuard {
-		if err := p.SetMemBudget(name, 16<<10); err != nil {
+		if err := a.setMemBudget(16 << 10); err != nil {
 			return err
 		}
 	}
@@ -383,8 +403,8 @@ func buildHog(p *Platform, spec RunSpec, i int, node noc.Coord, cluster int) err
 // StartApps starts every registered app at the current virtual time,
 // in registration order.
 func (p *Platform) StartApps() {
-	for _, name := range p.order {
-		p.apps[name].Start()
+	for _, a := range p.order {
+		a.Start()
 	}
 }
 
@@ -442,11 +462,10 @@ func (spec RunSpec) Run() (RunResult, error) {
 		Crit:       crit.Stats(),
 		RowHitRate: p.RowHitRate(),
 	}
-	for _, name := range p.order {
-		if name == crit.Name() {
-			continue
+	for _, a := range p.order {
+		if a != crit {
+			res.HogStats = append(res.HogStats, a.Stats())
 		}
-		res.HogStats = append(res.HogStats, p.apps[name].Stats())
 	}
 	if aud := p.Auditor(); aud != nil {
 		if h := aud.App(crit.Name()); h != nil {

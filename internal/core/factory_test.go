@@ -77,9 +77,9 @@ func TestHogPARTIDsCappedOnEveryChannel(t *testing.T) {
 				t.Fatal(err)
 			}
 			parts := map[mpam.PARTID]bool{}
-			for _, name := range p.order {
-				if name != crit.Name() {
-					parts[p.apps[name].cfg.PARTID] = true
+			for _, a := range p.order {
+				if a != crit {
+					parts[a.cfg.PARTID] = true
 				}
 			}
 			if len(parts) != tc.schemes {

@@ -27,6 +27,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/audit"
 	"repro/internal/cache"
@@ -320,7 +321,13 @@ type Platform struct {
 	regs []*memguard.Regulator
 
 	apps  map[string]*App
-	order []string
+	order []*App // registration order
+	// freeApps is the rest of the array reserveApps allocated; AddApp
+	// takes apps from it before allocating one by one.
+	freeApps []App
+	// names holds the apps' derived names (hog names, response flows)
+	// back to back, so they cost no allocation each; see joinName.
+	names strings.Builder
 	// homed[c] counts the apps whose home channel is c.
 	homed []int
 
@@ -622,10 +629,15 @@ func (p *Platform) SetMemBudget(app string, bytesPerPeriod int) error {
 	if !ok {
 		return fmt.Errorf("core: unknown app %q", app)
 	}
-	if a.reg == nil {
+	return a.setMemBudget(bytesPerPeriod)
+}
+
+// setMemBudget sets the budget on the app's bound MemGuard entity.
+func (a *App) setMemBudget(bytesPerPeriod int) error {
+	if a.mg == nil {
 		return fmt.Errorf("core: MemGuard disabled on this platform")
 	}
-	return a.reg.SetBudget(app, bytesPerPeriod)
+	return a.mg.SetBudget(bytesPerPeriod)
 }
 
 // SetNodeShaper installs a token-bucket injection shaper on a node's

@@ -115,8 +115,8 @@ func (p *Platform) SnapshotMetrics() {
 	}
 	reg.Gauge("sim.events_pending").Set(float64(pending))
 
-	for _, name := range p.order {
-		a := p.apps[name]
+	for _, a := range p.order {
+		name := a.cfg.Name
 		st := a.Stats()
 		prefix := "app." + name + "."
 		reg.Gauge(prefix + "issued").Set(float64(st.Issued))
@@ -126,8 +126,8 @@ func (p *Platform) SnapshotMetrics() {
 		if h := a.ReadLatencyHistogram(); h != nil {
 			reg.RegisterHistogram(prefix+"read_latency_ps", h)
 		}
-		if a.reg != nil {
-			mst := a.reg.Stats(name)
+		if a.mg != nil {
+			mst := a.mg.Stats()
 			if mst.Requests > 0 {
 				reg.Gauge(prefix + "memguard_throttled_ns").Set(mst.ThrottledTime.Nanoseconds())
 				reg.Gauge(prefix + "memguard_throttle_events").Set(float64(mst.ThrottleEvents))

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // Config parameterizes the regulator.
@@ -56,24 +57,31 @@ type EntityStats struct {
 	ThrottledTime  sim.Duration
 }
 
-// entity is one regulated traffic source.
-type entity struct {
+// Entity is one traffic source's handle on its regulator, bound once
+// by name (Regulator.Bind) and then metered through with no lookup per
+// request. An entity without a budget passes its requests through.
+type Entity struct {
+	r         *Regulator
 	name      string
-	budget    int // bytes per period
+	budget    int // bytes per period; 0 = unregulated
 	left      int
 	periodIdx int64 // which absolute period `left` belongs to
 
 	throttled   bool
 	throttledAt sim.Time
 	// drainArmed marks the periodic drain as running; drainEvery is
-	// its kernel handle and drainFn the once-allocated callback it
-	// fires (the replenish loop reuses one pooled event record for
-	// as long as the entity stays throttled).
+	// its kernel handle and drainFn the callback it fires, built on
+	// the entity's first throttle (the replenish loop reuses one
+	// pooled event record for as long as the entity stays throttled).
 	drainArmed bool
 	drainEvery sim.Handle
 	drainFn    sim.Event
 	waiters    []waiter
 	stats      EntityStats
+
+	// mon is the entity's "mem:<name>" monitor, resolved on its first
+	// request while the regulator has a monitor set.
+	mon *telemetry.Monitor
 }
 
 type waiter struct {
@@ -86,7 +94,11 @@ type waiter struct {
 type Regulator struct {
 	eng      *sim.Engine
 	cfg      Config
-	entities map[string]*entity
+	entities map[string]*Entity
+	// free is the rest of the array Reserve allocated; Bind hands
+	// entities out from it before allocating one by one.
+	free     []Entity
+	budgeted int
 
 	overhead sim.Duration
 	tel      *telemetryState
@@ -97,38 +109,63 @@ func New(eng *sim.Engine, cfg Config) (*Regulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Regulator{eng: eng, cfg: cfg, entities: make(map[string]*entity)}, nil
+	return &Regulator{eng: eng, cfg: cfg, entities: make(map[string]*Entity)}, nil
 }
 
-// Reserve sizes an empty entity table for n entities, so registering
-// them does not rehash it; on a table that already holds entities it
-// does nothing.
+// Reserve sizes an empty regulator for n entities: the name table does
+// not rehash and Bind hands the n out from one array. On a regulator
+// that already holds entities it does nothing.
 func (r *Regulator) Reserve(n int) {
 	if len(r.entities) == 0 {
-		r.entities = make(map[string]*entity, n)
+		r.entities = make(map[string]*Entity, n)
+		r.free = make([]Entity, n)
 	}
 }
 
-// SetBudget installs (or updates) an entity's per-period byte budget.
-func (r *Regulator) SetBudget(name string, bytesPerPeriod int) error {
-	if name == "" {
+// Bind returns name's entity, creating it without a budget (its
+// requests pass through) on first use.
+func (r *Regulator) Bind(name string) *Entity {
+	if e := r.entities[name]; e != nil {
+		return e
+	}
+	var e *Entity
+	if len(r.free) > 0 {
+		e, r.free = &r.free[0], r.free[1:]
+	} else {
+		e = new(Entity)
+	}
+	e.r, e.name = r, name
+	r.entities[name] = e
+	return e
+}
+
+// SetBudget installs (or updates) the entity's per-period byte budget.
+// Its first budget starts metering in the current period.
+func (e *Entity) SetBudget(bytesPerPeriod int) error {
+	if e.name == "" {
 		return fmt.Errorf("memguard: empty entity name")
 	}
 	if bytesPerPeriod <= 0 {
 		return fmt.Errorf("memguard: budget must be positive, got %d", bytesPerPeriod)
 	}
-	e := r.entities[name]
-	if e == nil {
-		e = &entity{name: name, periodIdx: r.periodOf(r.eng.Now())}
-		e.drainFn = func() { r.drain(e) }
-		r.entities[name] = e
+	if e.budget == 0 {
+		e.periodIdx = e.r.periodOf(e.r.eng.Now())
+		e.r.budgeted++
 	}
 	e.budget = bytesPerPeriod
 	e.left = bytesPerPeriod
 	return nil
 }
 
-// Stats returns a snapshot for one entity.
+// Budget reports the entity's bytes-per-period budget, with ok false
+// while it is unregulated — the budgeted bandwidth the runtime auditor
+// captures at app registration.
+func (e *Entity) Budget() (bytesPerPeriod int, ok bool) { return e.budget, e.budget > 0 }
+
+// Stats returns a snapshot of the entity's regulation outcomes.
+func (e *Entity) Stats() EntityStats { return e.stats }
+
+// Stats returns a snapshot for the named entity.
 func (r *Regulator) Stats(name string) EntityStats {
 	if e := r.entities[name]; e != nil {
 		return e.stats
@@ -139,21 +176,11 @@ func (r *Regulator) Stats(name string) EntityStats {
 // Overhead returns the total CPU time spent on regulation interrupts.
 func (r *Regulator) Overhead() sim.Duration { return r.overhead }
 
-// Budget reports an entity's configured bytes-per-period budget, with
-// ok false for unregulated entities — the budgeted bandwidth the
-// runtime auditor captures at app registration.
-func (r *Regulator) Budget(name string) (bytesPerPeriod int, ok bool) {
-	if e := r.entities[name]; e != nil {
-		return e.budget, true
-	}
-	return 0, false
-}
-
 // Period returns the regulation interval.
 func (r *Regulator) Period() sim.Duration { return r.cfg.Period }
 
-// Entities returns the number of regulated entities.
-func (r *Regulator) Entities() int { return len(r.entities) }
+// Entities returns the number of regulated (budgeted) entities.
+func (r *Regulator) Entities() int { return r.budgeted }
 
 func (r *Regulator) periodOf(t sim.Time) int64 { return int64(t) / int64(r.cfg.Period) }
 
@@ -161,7 +188,7 @@ func (r *Regulator) periodOf(t sim.Time) int64 { return int64(t) / int64(r.cfg.P
 // boundaries have passed, charging one reprogramming interrupt per
 // elapsed active period (capped at one after long idle gaps, since a
 // real deployment would disable the timer for inactive cores).
-func (r *Regulator) catchUp(e *entity, now sim.Time) {
+func (r *Regulator) catchUp(e *Entity, now sim.Time) {
 	idx := r.periodOf(now)
 	if idx <= e.periodIdx {
 		return
@@ -175,23 +202,22 @@ func (r *Regulator) catchUp(e *entity, now sim.Time) {
 	e.left = e.budget
 }
 
-// Request issues a memory transfer on behalf of an entity. If the
-// entity has budget, `then` runs immediately (the access proceeds to
-// the memory system); otherwise the entity is throttled and `then`
-// runs after the replenishment that re-funds it. Unregulated entities
-// pass through.
-func (r *Regulator) Request(name string, bytes int, then func()) error {
+// Request issues a memory transfer on behalf of the entity. If it has
+// budget, `then` runs immediately (the access proceeds to the memory
+// system); otherwise the entity is throttled and `then` runs after the
+// replenishment that re-funds it. Unregulated entities pass through.
+func (e *Entity) Request(bytes int, then func()) error {
 	if bytes <= 0 {
 		return fmt.Errorf("memguard: request needs positive size, got %d", bytes)
 	}
+	r := e.r
 	now := r.eng.Now()
 	if r.tel != nil {
-		r.traceSubmit(name)
+		r.traceSubmit(e)
 	}
-	e := r.entities[name]
-	if e == nil {
+	if e.budget == 0 {
 		if r.tel != nil {
-			r.traceGrant(name, bytes, now, now)
+			r.traceGrant(e, bytes, now, now)
 		}
 		if then != nil {
 			then()
@@ -204,7 +230,7 @@ func (r *Regulator) Request(name string, bytes int, then func()) error {
 		e.left -= bytes
 		e.stats.BytesServed += uint64(bytes)
 		if r.tel != nil {
-			r.traceGrant(name, bytes, now, now)
+			r.traceGrant(e, bytes, now, now)
 		}
 		if then != nil {
 			then()
@@ -219,7 +245,7 @@ func (r *Regulator) Request(name string, bytes int, then func()) error {
 		e.stats.ThrottleEvents++
 		r.overhead += r.cfg.InterruptOverhead
 		if r.tel != nil {
-			r.traceThrottle(name, now)
+			r.traceThrottle(e, now)
 		}
 	}
 	e.waiters = append(e.waiters, waiter{bytes: bytes, at: now, then: then})
@@ -231,9 +257,12 @@ func (r *Regulator) Request(name string, bytes int, then func()) error {
 // boundary. The drain is an Every event: while the entity stays over
 // budget it reschedules in place, one period at a time, on a single
 // pooled kernel record; drain cancels it once the backlog clears.
-func (r *Regulator) armDrain(e *entity) {
+func (r *Regulator) armDrain(e *Entity) {
 	if e.drainArmed {
 		return
+	}
+	if e.drainFn == nil {
+		e.drainFn = func() { r.drain(e) }
 	}
 	e.drainArmed = true
 	boundary := sim.Time((e.periodIdx + 1) * int64(r.cfg.Period))
@@ -242,14 +271,14 @@ func (r *Regulator) armDrain(e *entity) {
 
 // drain resumes a throttled entity at a period boundary and serves its
 // queued requests while the fresh budget lasts.
-func (r *Regulator) drain(e *entity) {
+func (r *Regulator) drain(e *Entity) {
 	now := r.eng.Now()
 	r.catchUp(e, now)
 	if e.throttled {
 		e.stats.ThrottledTime += now - e.throttledAt
 		e.throttled = false
 		if r.tel != nil {
-			r.traceReplenish(e.name, now)
+			r.traceReplenish(e, now)
 		}
 	}
 	for len(e.waiters) > 0 {
@@ -263,7 +292,7 @@ func (r *Regulator) drain(e *entity) {
 			e.left = 0
 			e.stats.BytesServed += uint64(w.bytes)
 			if r.tel != nil {
-				r.traceGrant(e.name, w.bytes, w.at, now)
+				r.traceGrant(e, w.bytes, w.at, now)
 			}
 			if w.then != nil {
 				w.then()
@@ -279,7 +308,7 @@ func (r *Regulator) drain(e *entity) {
 			e.stats.ThrottleEvents++
 			r.overhead += r.cfg.InterruptOverhead
 			if r.tel != nil {
-				r.traceThrottle(e.name, now)
+				r.traceThrottle(e, now)
 			}
 			return
 		}
@@ -287,7 +316,7 @@ func (r *Regulator) drain(e *entity) {
 		e.left -= w.bytes
 		e.stats.BytesServed += uint64(w.bytes)
 		if r.tel != nil {
-			r.traceGrant(e.name, w.bytes, w.at, now)
+			r.traceGrant(e, w.bytes, w.at, now)
 		}
 		if w.then != nil {
 			w.then()

@@ -35,13 +35,13 @@ func TestConfigValidation(t *testing.T) {
 
 func TestSetBudgetValidation(t *testing.T) {
 	_, r := newReg(t, DefaultConfig())
-	if r.SetBudget("", 100) == nil {
+	if r.Bind("").SetBudget(100) == nil {
 		t.Error("empty name accepted")
 	}
-	if r.SetBudget("a", 0) == nil {
+	if r.Bind("a").SetBudget(0) == nil {
 		t.Error("zero budget accepted")
 	}
-	if err := r.SetBudget("a", 100); err != nil {
+	if err := r.Bind("a").SetBudget(100); err != nil {
 		t.Fatal(err)
 	}
 	if r.Entities() != 1 {
@@ -52,25 +52,25 @@ func TestSetBudgetValidation(t *testing.T) {
 func TestUnregulatedPassThrough(t *testing.T) {
 	_, r := newReg(t, DefaultConfig())
 	ran := false
-	if err := r.Request("ghost", 64, func() { ran = true }); err != nil {
+	if err := r.Bind("ghost").Request(64, func() { ran = true }); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
 		t.Error("unregulated request did not pass through")
 	}
-	if r.Request("ghost", 0, nil) == nil {
+	if r.Bind("ghost").Request(0, nil) == nil {
 		t.Error("zero-byte request accepted")
 	}
 }
 
 func TestBudgetEnforcedWithinPeriod(t *testing.T) {
 	eng, r := newReg(t, Config{Period: sim.Microsecond, InterruptOverhead: sim.NS(100)})
-	if err := r.SetBudget("core0", 128); err != nil {
+	if err := r.Bind("core0").SetBudget(128); err != nil {
 		t.Fatal(err)
 	}
 	var done []sim.Time
 	issue := func() {
-		_ = r.Request("core0", 64, func() { done = append(done, eng.Now()) })
+		_ = r.Bind("core0").Request(64, func() { done = append(done, eng.Now()) })
 	}
 	issue() // 64 of 128
 	issue() // 128 of 128
@@ -101,13 +101,13 @@ func TestThrottlingLimitsLongRunBandwidth(t *testing.T) {
 	// 128 B per 1us = 0.128 B/ns. Issue far more: long-run served
 	// bytes track the budgeted rate.
 	eng, r := newReg(t, Config{Period: sim.Microsecond, InterruptOverhead: 0})
-	if err := r.SetBudget("core0", 128); err != nil {
+	if err := r.Bind("core0").SetBudget(128); err != nil {
 		t.Fatal(err)
 	}
 	var served int
 	var issue func()
 	issue = func() {
-		_ = r.Request("core0", 64, func() {
+		_ = r.Bind("core0").Request(64, func() {
 			served += 64
 			if eng.Now() < 20*sim.Microsecond {
 				issue()
@@ -126,15 +126,15 @@ func TestThrottlingLimitsLongRunBandwidth(t *testing.T) {
 
 func TestLazyReplenishAfterIdle(t *testing.T) {
 	eng, r := newReg(t, Config{Period: sim.Microsecond, InterruptOverhead: sim.NS(100)})
-	if err := r.SetBudget("c", 64); err != nil {
+	if err := r.Bind("c").SetBudget(64); err != nil {
 		t.Fatal(err)
 	}
-	_ = r.Request("c", 64, nil) // drain the budget
+	_ = r.Bind("c").Request(64, nil) // drain the budget
 	// Long idle: budgets must be fresh afterwards without any events
 	// having run.
 	eng.RunUntil(50 * sim.Microsecond)
 	ran := false
-	_ = r.Request("c", 64, func() { ran = true })
+	_ = r.Bind("c").Request(64, func() { ran = true })
 	if !ran {
 		t.Error("budget not lazily replenished after idle")
 	}
@@ -146,9 +146,10 @@ func TestOverheadGrowsWithGranularity(t *testing.T) {
 	run := func(entities int) sim.Duration {
 		eng, r := newReg(t, Config{Period: sim.Microsecond, InterruptOverhead: sim.NS(500)})
 		per := 1024 / entities
-		for i := 0; i < entities; i++ {
-			name := "e" + string(rune('0'+i))
-			if err := r.SetBudget(name, per); err != nil {
+		es := make([]*Entity, entities)
+		for i := range es {
+			es[i] = r.Bind("e" + string(rune('0'+i)))
+			if err := es[i].SetBudget(per); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -157,9 +158,8 @@ func TestOverheadGrowsWithGranularity(t *testing.T) {
 		for step := 0; step < 40; step++ {
 			at := sim.Duration(step) * sim.NS(250)
 			eng.At(at, func() {
-				for i := 0; i < entities; i++ {
-					name := "e" + string(rune('0'+i))
-					_ = r.Request(name, 2*per, nil)
+				for _, e := range es {
+					_ = e.Request(2*per, nil)
 				}
 			})
 		}
@@ -176,12 +176,12 @@ func TestOverheadGrowsWithGranularity(t *testing.T) {
 func TestIsolationBetweenEntities(t *testing.T) {
 	// One entity exhausting its budget must not delay another.
 	eng, r := newReg(t, Config{Period: sim.Microsecond, InterruptOverhead: 0})
-	_ = r.SetBudget("hog", 64)
-	_ = r.SetBudget("victim", 64)
-	_ = r.Request("hog", 64, nil)
-	_ = r.Request("hog", 64, nil) // throttled
+	_ = r.Bind("hog").SetBudget(64)
+	_ = r.Bind("victim").SetBudget(64)
+	_ = r.Bind("hog").Request(64, nil)
+	_ = r.Bind("hog").Request(64, nil) // throttled
 	ran := false
-	_ = r.Request("victim", 64, func() { ran = true })
+	_ = r.Bind("victim").Request(64, func() { ran = true })
 	if !ran {
 		t.Error("victim delayed by hog's throttling")
 	}
@@ -193,12 +193,12 @@ func TestIsolationBetweenEntities(t *testing.T) {
 
 func TestFIFOWithinEntity(t *testing.T) {
 	eng, r := newReg(t, Config{Period: sim.Microsecond, InterruptOverhead: 0})
-	_ = r.SetBudget("c", 64)
-	_ = r.Request("c", 64, nil)
+	_ = r.Bind("c").SetBudget(64)
+	_ = r.Bind("c").Request(64, nil)
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		_ = r.Request("c", 64, func() { order = append(order, i) })
+		_ = r.Bind("c").Request(64, func() { order = append(order, i) })
 	}
 	eng.Run()
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
@@ -215,7 +215,7 @@ func TestQuickBudgetNeverExceededPerPeriod(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if r.SetBudget("c", budget) != nil {
+		if r.Bind("c").SetBudget(budget) != nil {
 			return false
 		}
 		rnd := sim.NewRand(seed)
@@ -225,7 +225,7 @@ func TestQuickBudgetNeverExceededPerPeriod(t *testing.T) {
 			at := rnd.Duration(5 * sim.Microsecond)
 			size := 16 + rnd.Intn(64)
 			eng.At(at, func() {
-				_ = r.Request("c", size, func() {
+				_ = r.Bind("c").Request(size, func() {
 					idx := int64(eng.Now()) / int64(sim.Microsecond)
 					perPeriod[idx] += size
 					if perPeriod[idx] > budget {
@@ -239,5 +239,54 @@ func TestQuickBudgetNeverExceededPerPeriod(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBoundEntities pins the handle contract: Bind returns one entity
+// per name, Reserve(n) hands n out without an allocation each, an
+// entity passes requests through (uncounted) until it is budgeted, its
+// first budget meters from the current period without a catch-up
+// interrupt, and only an entity that throttles builds its drain
+// callback.
+func TestBoundEntities(t *testing.T) {
+	eng, r := newReg(t, Config{Period: sim.Microsecond, InterruptOverhead: sim.NS(100)})
+	r.Reserve(2)
+	names := []string{"a", "b"}
+	i := 0
+	if allocs := testing.AllocsPerRun(1, func() { r.Bind(names[i]); i++ }); allocs != 0 {
+		t.Errorf("binding a reserved entity: %v allocs, want 0", allocs)
+	}
+	a, b := r.Bind("a"), r.Bind("b")
+	if a == b || r.Bind("a") != a {
+		t.Fatal("Bind does not return one entity per name")
+	}
+	ran := false
+	if err := a.Request(64, func() { ran = true }); err != nil || !ran {
+		t.Fatalf("unbudgeted request: err %v, ran %v; want a pass-through", err, ran)
+	}
+	if st, n := a.Stats(), r.Entities(); st.Requests != 0 || n != 0 {
+		t.Fatalf("pass-through counted: %d requests, %d regulated entities; want 0, 0", st.Requests, n)
+	}
+	if _, ok := a.Budget(); ok {
+		t.Fatal("unbudgeted entity reports a budget")
+	}
+
+	eng.RunUntil(5*sim.Microsecond + sim.NS(500))
+	if err := a.SetBudget(64); err != nil {
+		t.Fatal(err)
+	}
+	_ = a.Request(64, nil)
+	if r.Overhead() != 0 {
+		t.Errorf("first budget mid-run charged %v of catch-up overhead, want 0", r.Overhead())
+	}
+	if a.drainFn != nil || b.drainFn != nil {
+		t.Fatal("drain callback built before any throttle")
+	}
+	_ = a.Request(64, nil) // over budget: throttles
+	if a.drainFn == nil || b.drainFn != nil {
+		t.Fatalf("after a's first throttle: a has a drain callback %v, b %v; want a only", a.drainFn != nil, b.drainFn != nil)
+	}
+	if got, ok := a.Budget(); !ok || got != 64 || r.Entities() != 1 {
+		t.Fatalf("a.Budget() = %d, %v with %d regulated entities; want 64, true, 1", got, ok, r.Entities())
 	}
 }

@@ -17,15 +17,15 @@ func TestTelemetryStallSpanAndMonitors(t *testing.T) {
 	tr := telemetry.NewTracer()
 	mon := telemetry.NewMonitorSet(sim.Millisecond)
 	r.SetTelemetry(reg, tr, mon)
-	if err := r.SetBudget("crit", 100); err != nil {
+	if err := r.Bind("crit").SetBudget(100); err != nil {
 		t.Fatal(err)
 	}
 
 	granted := 0
 	eng.At(0, func() {
-		r.Request("crit", 80, func() { granted++ }) // fits
-		r.Request("crit", 80, func() { granted++ }) // depletes -> throttled
-		r.Request("free", 64, func() { granted++ }) // unregulated pass-through
+		r.Bind("crit").Request(80, func() { granted++ }) // fits
+		r.Bind("crit").Request(80, func() { granted++ }) // depletes -> throttled
+		r.Bind("free").Request(64, func() { granted++ }) // unregulated pass-through
 	})
 	eng.Run()
 	if granted != 3 {
@@ -60,7 +60,7 @@ func TestTelemetryDisabledRegulatorUnchanged(t *testing.T) {
 	}
 	r.SetTelemetry(nil, nil, nil)
 	ran := false
-	r.Request("anyone", 64, func() { ran = true })
+	r.Bind("anyone").Request(64, func() { ran = true })
 	if !ran {
 		t.Error("pass-through request did not run")
 	}
@@ -77,12 +77,13 @@ func TestTelemetryWarmRequestAllocatesNothing(t *testing.T) {
 	}
 	mon := telemetry.NewMonitorSet(sim.Millisecond)
 	r.SetTelemetry(telemetry.NewRegistry(), nil, mon)
-	if err := r.SetBudget("crit", 1<<40); err != nil {
+	crit, free := r.Bind("crit"), r.Bind("free")
+	if err := crit.SetBudget(1 << 40); err != nil {
 		t.Fatal(err)
 	}
 	req := func() {
-		r.Request("crit", 64, nil)
-		r.Request("free", 64, nil)
+		crit.Request(64, nil)
+		free.Request(64, nil)
 	}
 	req()
 	if a := testing.AllocsPerRun(100, req); a != 0 {

@@ -15,18 +15,29 @@ type telemetryState struct {
 	mon *telemetry.MonitorSet
 
 	cDispatches *telemetry.Counter
-	// partKeys caches "partid:N" strings so the dispatch path does not
-	// format per transfer.
-	partKeys map[PARTID]string
+	// parts caches each PARTID's key and monitor, indexed by PARTID and
+	// resolved on its first transfer, so the per-transfer hooks neither
+	// format a key nor take the monitor set's lock and map.
+	parts []partTel
 }
 
-func (ts *telemetryState) partKey(id PARTID) string {
-	k, ok := ts.partKeys[id]
-	if !ok {
-		k = "partid:" + strconv.Itoa(int(id))
-		ts.partKeys[id] = k
+// partTel is one PARTID's resolved instrumentation.
+type partTel struct {
+	key string             // "partid:N"; empty until the first transfer
+	mon *telemetry.Monitor // nil without a monitor set
+}
+
+// part returns id's instrumentation, resolving it on first use.
+func (ts *telemetryState) part(id PARTID) *partTel {
+	if int(id) >= len(ts.parts) {
+		ts.parts = append(ts.parts, make([]partTel, int(id)+1-len(ts.parts))...)
 	}
-	return k
+	pt := &ts.parts[id]
+	if pt.key == "" {
+		pt.key = "partid:" + strconv.Itoa(int(id))
+		pt.mon = ts.mon.Monitor(pt.key)
+	}
+	return pt
 }
 
 // SetTelemetry attaches a metrics registry, tracer, and PMU-style
@@ -37,7 +48,7 @@ func (a *Arbiter) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer, mo
 		a.tel = nil
 		return
 	}
-	ts := &telemetryState{reg: reg, tr: tr, mon: mon, partKeys: make(map[PARTID]string)}
+	ts := &telemetryState{reg: reg, tr: tr, mon: mon}
 	if reg != nil {
 		ts.cDispatches = reg.Counter("mpam.dispatches")
 	}
@@ -50,7 +61,7 @@ func (a *Arbiter) traceSubmit(r *BWRequest) {
 	if ts == nil {
 		return
 	}
-	ts.mon.Monitor(ts.partKey(r.Label.PARTID)).TxnStart()
+	ts.part(r.Label.PARTID).mon.TxnStart()
 }
 
 // traceServe records a completed transfer: a span from submission to
@@ -61,11 +72,10 @@ func (a *Arbiter) traceServe(r *BWRequest, done sim.Time) {
 		return
 	}
 	ts.cDispatches.Inc()
-	key := ts.partKey(r.Label.PARTID)
-	m := ts.mon.Monitor(key)
-	m.AddBytes(done, r.Bytes)
-	m.TxnEnd()
+	pt := ts.part(r.Label.PARTID)
+	pt.mon.AddBytes(done, r.Bytes)
+	pt.mon.TxnEnd()
 	if ts.tr != nil {
-		ts.tr.Span("mpam", key, r.submitted, done, "bytes", strconv.Itoa(r.Bytes))
+		ts.tr.Span("mpam", pt.key, r.submitted, done, "bytes", strconv.Itoa(r.Bytes))
 	}
 }

@@ -44,6 +44,47 @@ func TestArbiterTelemetry(t *testing.T) {
 	}
 }
 
+// TestArbiterMonitorsResolveOnFirstTransfer pins when the arbiter's
+// per-PARTID monitors come into being: none at SetTelemetry, each on
+// its PARTID's first transfer, and afresh in a monitor set swapped in
+// later.
+func TestArbiterMonitorsResolveOnFirstTransfer(t *testing.T) {
+	eng := sim.NewEngine()
+	a, err := NewArbiter(eng, BWConfig{CapacityBytesPerNS: 16}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(ids ...PARTID) {
+		for _, id := range ids {
+			if err := a.Submit(&BWRequest{Label: Label{PARTID: id}, Bytes: 64}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Run()
+	}
+	mon := telemetry.NewMonitorSet(sim.Microsecond)
+	a.SetTelemetry(nil, nil, mon)
+	if got := mon.Names(); len(got) != 0 {
+		t.Fatalf("monitors before any transfer: %v, want none", got)
+	}
+	submit(5, 2, 5)
+	if got := mon.Names(); len(got) != 2 || got[0] != "partid:2" || got[1] != "partid:5" {
+		t.Fatalf("monitors = %v, want [partid:2 partid:5]", got)
+	}
+	if b := mon.Monitor("partid:5").TotalBytes(); b != 128 {
+		t.Errorf("partid:5 bytes = %d, want 128", b)
+	}
+	next := telemetry.NewMonitorSet(sim.Microsecond)
+	a.SetTelemetry(nil, nil, next)
+	submit(2)
+	if got := next.Names(); len(got) != 1 || got[0] != "partid:2" {
+		t.Fatalf("swapped-in monitors = %v, want [partid:2]", got)
+	}
+	if b := mon.Monitor("partid:2").TotalBytes(); b != 64 {
+		t.Errorf("old set's partid:2 bytes = %d after the swap, want 64", b)
+	}
+}
+
 func TestBandwidthMonitorBindCounter(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := &BandwidthMonitor{Filter: Filter{PARTID: 7}}

@@ -9,8 +9,8 @@ import "sync"
 // curves through DelayBoundThrough, so the registrations of co-located
 // apps repeat the same convolutions and delay bounds. A Cache memoizes
 // those two operators on interned operand identities, so a repeated
-// composition costs two hash lookups instead of an O(n*m) segment
-// convolution.
+// composition costs a few one-word lookups instead of an O(n*m)
+// segment convolution.
 //
 // Correctness contract: a cache hit returns the stored result of the
 // exact computation a miss would perform — operands are matched by
@@ -22,26 +22,24 @@ import "sync"
 // method on a nil *Cache falls through to the uncached operator, so
 // call sites can thread an optional cache without branching.
 
-// opCode discriminates the memoized operators in a cache key.
+// opCode discriminates the memoized operators.
 type opCode uint8
 
 const (
 	opConvolve opCode = iota
 	opDelayBound
+	numOps
 )
 
-// opKey is a cache key: the operator plus both operands' interned
-// identities. Keys are directional — DelayBound is not commutative,
-// and Convolve is not normalized either so that a hit is always the
-// stored result of the identical call.
-type opKey struct {
-	op   opCode
-	a, b uint64
-}
-
-// cacheEntry is one memoized result on the LRU list.
+// cacheEntry is one memoized result on the LRU list, filed in its left
+// operand's memo for op under the right operand's id. Keys are
+// directional — DelayBound is not commutative, and Convolve is not
+// normalized either so that a hit is always the stored result of the
+// identical call.
 type cacheEntry struct {
-	key    opKey
+	a      *internedCurve
+	op     opCode
+	b      uint64
 	curve  Curve   // Convolve
 	scalar float64 // DelayBound
 
@@ -64,9 +62,9 @@ const DefaultCacheCapacity = 4096
 
 // Cache is an LRU-memoized view of the netcalc operators.
 type Cache struct {
-	mu         sync.Mutex // guards the interner too
+	mu         sync.Mutex // guards the interner and its memos too
 	in         *interner
-	entries    map[opKey]*cacheEntry
+	entries    int
 	head, tail *cacheEntry // head = most recently used
 	cap        int
 
@@ -75,8 +73,8 @@ type Cache struct {
 
 // NewCache returns an empty cache bounded to capacity entries
 // (DefaultCacheCapacity if capacity <= 0). capacity is the LRU
-// eviction bound only: the memo map grows with use and is not
-// pre-sized to it.
+// eviction bound only: the memos grow with use and are not pre-sized
+// to it.
 func NewCache(capacity int) *Cache {
 	return newCacheWithInterner(capacity, newInterner())
 }
@@ -85,11 +83,7 @@ func newCacheWithInterner(capacity int, in *interner) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return &Cache{
-		in:      in,
-		entries: make(map[opKey]*cacheEntry),
-		cap:     capacity,
-	}
+	return &Cache{in: in, cap: capacity}
 }
 
 // Stats snapshots the cache counters.
@@ -105,44 +99,51 @@ func (c *Cache) Stats() CacheStats {
 		Misses:         c.misses,
 		Evictions:      c.evictions,
 		InternedCurves: total,
-		Entries:        len(c.entries),
+		Entries:        c.entries,
 		LiveInterned:   live,
 	}
 }
 
 // lookup interns f and g and finds the stored result of op on them,
 // promoting it to most-recently-used, under one lock. On a miss (e nil)
-// the caller computes from the interned operands and inserts under k.
-func (c *Cache) lookup(op opCode, f, g Curve) (k opKey, fi, gi *internedCurve, e *cacheEntry) {
+// the caller computes from the interned operands and inserts.
+func (c *Cache) lookup(op opCode, f, g Curve) (fi, gi *internedCurve, e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fi, gi = c.in.intern(f), c.in.intern(g)
-	k = opKey{op, fi.id, gi.id}
-	if e = c.entries[k]; e == nil {
+	if e = fi.memo[op][gi.id]; e == nil {
 		c.misses++
-		return k, fi, gi, nil
+		return fi, gi, nil
 	}
 	c.hits++
 	c.moveToFront(e)
-	return k, fi, gi, e
+	return fi, gi, e
 }
 
-// insert stores e under its key, evicting the least-recently-used
-// entry when full. If another goroutine raced the same miss, the
-// first stored entry wins (both computed bit-identical results).
+// insert files e in its left operand's memo, evicting the least-
+// recently-used entry when full. If another goroutine raced the same
+// miss, the first stored entry wins (both computed bit-identical
+// results).
 func (c *Cache) insert(e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, exists := c.entries[e.key]; exists {
+	memo := e.a.memo[e.op]
+	if _, exists := memo[e.b]; exists {
 		return
 	}
-	if len(c.entries) >= c.cap {
+	if c.entries >= c.cap {
 		lru := c.tail
 		c.unlink(lru)
-		delete(c.entries, lru.key)
+		delete(lru.a.memo[lru.op], lru.b)
+		c.entries--
 		c.evictions++
 	}
-	c.entries[e.key] = e
+	if memo == nil {
+		memo = make(map[uint64]*cacheEntry)
+		e.a.memo[e.op] = memo
+	}
+	memo[e.b] = e
+	c.entries++
 	c.pushFront(e)
 }
 
@@ -185,12 +186,12 @@ func (c *Cache) Convolve(f, g Curve) Curve {
 	if c == nil {
 		return Convolve(f, g)
 	}
-	k, fi, gi, e := c.lookup(opConvolve, f, g)
+	fi, gi, e := c.lookup(opConvolve, f, g)
 	if e != nil {
 		return e.curve
 	}
 	out := Convolve(fi.c, gi.c)
-	c.insert(&cacheEntry{key: k, curve: out})
+	c.insert(&cacheEntry{a: fi, op: opConvolve, b: gi.id, curve: out})
 	return out
 }
 
@@ -199,12 +200,12 @@ func (c *Cache) DelayBound(alpha, beta Curve) float64 {
 	if c == nil {
 		return DelayBound(alpha, beta)
 	}
-	k, ai, bi, e := c.lookup(opDelayBound, alpha, beta)
+	ai, bi, e := c.lookup(opDelayBound, alpha, beta)
 	if e != nil {
 		return e.scalar
 	}
 	out := DelayBound(ai.c, bi.c)
-	c.insert(&cacheEntry{key: k, scalar: out})
+	c.insert(&cacheEntry{a: ai, op: opDelayBound, b: bi.id, scalar: out})
 	return out
 }
 

@@ -103,6 +103,44 @@ func TestCacheDirectionalKeys(t *testing.T) {
 	}
 }
 
+// TestMemoKeysDoNotAliasPastIDWidths pins that a memo key keeps both
+// operands' full ids: interned ids grow without bound across flushes,
+// so after ids pass 2^31 and 2^32 a curve whose id equals a low id
+// modulo 2^31 or 2^32 must still miss the low curve's entries. The
+// interner is seeded so the second pool's ids straddle the boundary,
+// its last id aliasing the first pool's first id under truncation.
+func TestMemoKeysDoNotAliasPastIDWidths(t *testing.T) {
+	for _, width := range []uint{31, 32} {
+		c := NewCache(0)
+		low := []Curve{TokenBucket(64, 0.25), RateLatency(0.5, 100), RateLatency(0.25, 40)}
+		high := []Curve{TokenBucket(32, 0.5), RateLatency(1, 10), RateLatency(0.125, 400)}
+		for i, f := range low {
+			if id := c.in.intern(f).id; id != uint64(i+1) {
+				t.Fatalf("width %d: low curve %d interned as id %d", width, i, id)
+			}
+		}
+		c.in.nextID = 1<<width - 2
+		for i, f := range high {
+			if id, want := c.in.intern(f).id, uint64(1<<width-1+i); id != want {
+				t.Fatalf("width %d: high curve %d interned as id %#x, want %#x", width, i, id, want)
+			}
+		}
+		all := append(low, high...)
+		for pass := 0; pass < 2; pass++ {
+			for _, f := range all {
+				for _, g := range all {
+					checkOpsAgree(t, c, f, g)
+				}
+			}
+			pairs := uint64(2 * len(all) * len(all))
+			if st := c.Stats(); st.Misses != pairs || st.Hits != uint64(pass)*pairs {
+				t.Fatalf("width %d pass %d: %d hits, %d misses; want %d, %d (every first call a miss)",
+					width, pass, st.Hits, st.Misses, uint64(pass)*pairs, pairs)
+			}
+		}
+	}
+}
+
 // TestCacheNilReceiver checks the nil-safe contract every call site
 // relies on: all methods on a nil *Cache behave like the uncached
 // package functions.

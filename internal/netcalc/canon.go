@@ -15,9 +15,10 @@ import "math"
 //
 // The interner assigns each distinct canonical structure a small
 // integer id. Equal curves intern to the same *internedCurve, making
-// them pointer-comparable; the operator cache keys its memo table on
-// those ids, so a cache key is three machine words regardless of how
-// many breakpoints the operands carry.
+// them pointer-comparable; the operator cache files each result on its
+// left operand's entry under the right operand's id, so a lookup hashes
+// one machine word regardless of how many breakpoints the operands
+// carry.
 
 // identical reports bit-exact structural equality: same breakpoints,
 // same final slope, compared by float bit pattern. It is stricter
@@ -66,25 +67,23 @@ func (c Curve) fingerprint() uint64 {
 type internedCurve struct {
 	id uint64
 	c  Curve
+	// memo holds the cache's stored results with this curve as the
+	// left operand, one table per operator, keyed by the right
+	// operand's full id: a hit hashes one machine word, and no two ids
+	// share a key however large they grow.
+	memo [numOps]map[uint64]*cacheEntry
 }
 
-// arrayKey names a curve by its backing array: curves are immutable,
-// so two values sharing the first breakpoint's address, the length and
-// the final slope are the same curve. The pointer in the key pins the
-// array, so it can never be reused for a different curve while the key
-// is in the table.
-type arrayKey struct {
-	first *Point
+// arrayEntry is byArray's value: the entry a backing array was last
+// interned as, with the length and final-slope bits that curve value
+// carried. Curves are immutable, so a value sharing the array's first
+// breakpoint, the length and the final slope is that same curve; a
+// prefix of the array or another final slope over it is not, and takes
+// the hash path.
+type arrayEntry struct {
+	e     *internedCurve
 	n     int
 	slope uint64
-}
-
-func arrayKeyOf(c Curve) arrayKey {
-	k := arrayKey{n: len(c.pts), slope: math.Float64bits(c.finalSlope)}
-	if len(c.pts) > 0 {
-		k.first = &c.pts[0]
-	}
-	return k
 }
 
 // interner deduplicates canonical curves. It is not safe for
@@ -97,7 +96,11 @@ func arrayKeyOf(c Curve) arrayKey {
 type interner struct {
 	hash    func(Curve) uint64
 	buckets map[uint64][]*internedCurve
-	byArray map[arrayKey]*internedCurve
+	// byArray is keyed by the first breakpoint's address alone (nil for
+	// the zero curve), so a lookup hashes one word. The key pins the
+	// array, so it can never be reused for another curve while the key
+	// is in the table.
+	byArray map[*Point]arrayEntry
 	nextID  uint64 // also the cumulative intern count
 	live    int
 	maxLive int
@@ -123,7 +126,7 @@ func newInternerWithHash(hash func(Curve) uint64) *interner {
 	return &interner{
 		hash:    hash,
 		buckets: make(map[uint64][]*internedCurve),
-		byArray: make(map[arrayKey]*internedCurve),
+		byArray: make(map[*Point]arrayEntry),
 		maxLive: internerFlushThreshold,
 	}
 }
@@ -131,9 +134,13 @@ func newInternerWithHash(hash func(Curve) uint64) *interner {
 // intern returns the canonical entry for c, creating one if this
 // structure has not been seen (or was flushed).
 func (in *interner) intern(c Curve) *internedCurve {
-	k := arrayKeyOf(c)
-	if e, ok := in.byArray[k]; ok {
-		return e
+	var first *Point
+	if len(c.pts) > 0 {
+		first = &c.pts[0]
+	}
+	slope := math.Float64bits(c.finalSlope)
+	if a, ok := in.byArray[first]; ok && a.n == len(c.pts) && a.slope == slope {
+		return a.e
 	}
 	fp := in.hash(c)
 	var e *internedCurve
@@ -146,7 +153,7 @@ func (in *interner) intern(c Curve) *internedCurve {
 	if e == nil {
 		if in.live >= in.maxLive {
 			in.buckets = make(map[uint64][]*internedCurve)
-			in.byArray = make(map[arrayKey]*internedCurve)
+			in.byArray = make(map[*Point]arrayEntry)
 			in.live = 0
 		}
 		in.nextID++
@@ -155,9 +162,9 @@ func (in *interner) intern(c Curve) *internedCurve {
 		in.live++
 	}
 	if len(in.byArray) >= in.maxLive {
-		in.byArray = make(map[arrayKey]*internedCurve)
+		in.byArray = make(map[*Point]arrayEntry)
 	}
-	in.byArray[k] = e
+	in.byArray[first] = arrayEntry{e, len(c.pts), slope}
 	return e
 }
 

@@ -156,17 +156,39 @@ func TestInternByBackingArray(t *testing.T) {
 	if got := in.intern(rebuilt); got != e || hashes != 2 {
 		t.Fatalf("the fresh array was not indexed: %d hashes, want 2", hashes)
 	}
-	for name, d := range map[string]Curve{
-		"prefix":      {pts: c.pts[:2], finalSlope: c.finalSlope},
-		"final-slope": {pts: c.pts, finalSlope: 2},
-	} {
+	// The array index is keyed by the first breakpoint's address alone:
+	// a prefix sub-slice and another final slope over c's array share
+	// c's key, and the entry's length and slope bits must tell them
+	// apart, both ways round.
+	variants := []struct {
+		name string
+		d    Curve
+	}{
+		{"prefix", Curve{pts: c.pts[:2], finalSlope: c.finalSlope}},
+		{"final-slope", Curve{pts: c.pts, finalSlope: 2}},
+	}
+	entries := map[string]*internedCurve{}
+	for _, v := range variants {
 		before := hashes
-		if got := in.intern(d); got == e || got.id == e.id || !got.c.identical(d) {
-			t.Errorf("%s curve over the same array aliased the original entry", name)
+		got := in.intern(v.d)
+		if got == e || got.id == e.id || !got.c.identical(v.d) {
+			t.Errorf("%s curve over the same array aliased the original entry", v.name)
 		}
 		if hashes != before+1 {
-			t.Errorf("%s curve over the same array skipped the hash path", name)
+			t.Errorf("%s curve over the same array skipped the hash path", v.name)
 		}
+		entries[v.name] = got
+		if again := in.intern(c); again != e {
+			t.Errorf("after the %s curve, the original value interned to entry %p, want %p", v.name, again, e)
+		}
+	}
+	for _, v := range variants {
+		if got := in.intern(v.d); got != entries[v.name] {
+			t.Errorf("re-interning the %s curve: entry %p, want %p", v.name, got, entries[v.name])
+		}
+	}
+	if len(in.byArray) != 2 {
+		t.Errorf("array index holds %d keys after curves over two arrays, want 2 (one per array)", len(in.byArray))
 	}
 
 	in.maxLive = 4

@@ -41,9 +41,10 @@ type outPort struct {
 	// rr is the round-robin pointer for the next head-flit grant.
 	rr Port
 	// inflight is the flit currently traversing the port (valid while
-	// busy); done is the port's traversal-complete callback, bound
-	// once at construction so the hot path schedules it without
-	// allocating a closure per flit. crossDone is its cross-cut twin
+	// busy); done is the port's traversal-complete callback, bound on
+	// the port's first flit (ports facing off the mesh never build one)
+	// so the hot path schedules it without allocating a closure per
+	// flit. crossDone is its cross-cut twin
 	// (nil without a Parallel kernel): when the downstream arrival was
 	// prescheduled through the kernel mailbox it only frees the port and
 	// re-arbitrates.
@@ -57,7 +58,6 @@ func initRouter(r *router, n *NoC, at Coord, eng *sim.Engine) {
 	r.noc, r.at, r.eng = n, at, eng
 	for p := Port(0); p < numPorts; p++ {
 		p := p
-		r.out[p].done = func() { r.finishFlit(p) }
 		if n.par != nil {
 			// Only a partitioned fabric has cuts to cross.
 			r.out[p].crossDone = func() { r.freePort(p) }
@@ -158,6 +158,9 @@ func (r *router) tryOutput(p Port) {
 			r.eng.After(r.noc.cfg.FlitTime, o.crossDone)
 			return
 		}
+	}
+	if o.done == nil {
+		o.done = func() { r.finishFlit(p) }
 	}
 	r.eng.After(r.noc.cfg.FlitTime, o.done)
 }

@@ -31,10 +31,18 @@ type Sequential struct {
 
 // NewSequential builds a sequential pattern over [base, base+size).
 func NewSequential(base, size, stride uint64) (*Sequential, error) {
-	if size == 0 || stride == 0 || stride > size {
-		return nil, fmt.Errorf("trace: sequential needs 0 < stride <= size")
+	s, err := sequential(base, size, stride)
+	if err != nil {
+		return nil, err
 	}
-	return &Sequential{Base: base, Size: size, Stride: stride}, nil
+	return &s, nil
+}
+
+func sequential(base, size, stride uint64) (Sequential, error) {
+	if size == 0 || stride == 0 || stride > size {
+		return Sequential{}, fmt.Errorf("trace: sequential needs 0 < stride <= size")
+	}
+	return Sequential{Base: base, Size: size, Stride: stride}, nil
 }
 
 // Next implements Pattern.
@@ -83,15 +91,23 @@ type Random struct {
 	Size  uint64
 	Align uint64
 	seed  uint64
-	rnd   *sim.Rand
+	rnd   sim.Rand
 }
 
 // NewRandom builds a random pattern over [base, base+size), aligned.
 func NewRandom(base, size, align uint64, seed uint64) (*Random, error) {
-	if size == 0 || align == 0 || align > size {
-		return nil, fmt.Errorf("trace: random needs 0 < align <= size")
+	r, err := random(base, size, align, seed)
+	if err != nil {
+		return nil, err
 	}
-	return &Random{Base: base, Size: size, Align: align, seed: seed, rnd: sim.NewRand(seed)}, nil
+	return &r, nil
+}
+
+func random(base, size, align uint64, seed uint64) (Random, error) {
+	if size == 0 || align == 0 || align > size {
+		return Random{}, fmt.Errorf("trace: random needs 0 < align <= size")
+	}
+	return Random{Base: base, Size: size, Align: align, seed: seed, rnd: *sim.NewRand(seed)}, nil
 }
 
 // Next implements Pattern.
@@ -101,7 +117,7 @@ func (r *Random) Next() uint64 {
 }
 
 // Reset implements Pattern.
-func (r *Random) Reset() { r.rnd = sim.NewRand(r.seed) }
+func (r *Random) Reset() { r.rnd = *sim.NewRand(r.seed) }
 
 // WorkloadClass names the automotive application classes from the
 // paper's introduction.
@@ -147,28 +163,74 @@ type Profile struct {
 // NewProfile builds the canonical profile for a class, seeded for the
 // random components. Base separates address spaces per application.
 func NewProfile(class WorkloadClass, base uint64, seed uint64) (*Profile, error) {
+	return NewProfiles(class, 1).New(base, seed)
+}
+
+// Profiles builds profiles of one class from arrays sized once: n
+// apps' profiles and their patterns cost one allocation per kind, not
+// one or two each.
+type Profiles struct {
+	class    WorkloadClass
+	profiles []Profile
+	seqs     []Sequential
+	rands    []Random
+}
+
+// NewProfiles reserves room for n profiles of class.
+func NewProfiles(class WorkloadClass, n int) *Profiles {
+	ps := &Profiles{class: class, profiles: make([]Profile, 0, n)}
 	switch class {
+	case ControlLoop, VisionPipeline:
+		ps.seqs = make([]Sequential, 0, n)
+	case Infotainment:
+		ps.rands = make([]Random, 0, n)
+	}
+	return ps
+}
+
+// New builds the class's canonical profile, as NewProfile does. Past
+// the reserved n it starts a fresh array of the same size; a profile
+// handed out never moves.
+func (ps *Profiles) New(base uint64, seed uint64) (*Profile, error) {
+	p := Profile{Class: ps.class}
+	switch ps.class {
 	case ControlLoop:
 		// 32 KiB working set, line-sized accesses, 1us control step.
-		p, err := NewSequential(base, 32<<10, 64)
+		s, err := sequential(base, 32<<10, 64)
 		if err != nil {
 			return nil, err
 		}
-		return &Profile{Class: class, Pattern: p, ReqBytes: 64, Think: sim.Microsecond, WriteEvery: 4}, nil
+		p.Pattern = take(&ps.seqs, s)
+		p.ReqBytes, p.Think, p.WriteEvery = 64, sim.Microsecond, 4
 	case VisionPipeline:
 		// 4 MiB frames streamed in 256B beats, back to back.
-		p, err := NewSequential(base, 4<<20, 256)
+		s, err := sequential(base, 4<<20, 256)
 		if err != nil {
 			return nil, err
 		}
-		return &Profile{Class: class, Pattern: p, ReqBytes: 256, Think: sim.NS(50)}, nil
+		p.Pattern = take(&ps.seqs, s)
+		p.ReqBytes, p.Think = 256, sim.NS(50)
 	case Infotainment:
 		// 8 MiB random working set, cache hostile, modest think time.
-		p, err := NewRandom(base, 8<<20, 64, seed)
+		r, err := random(base, 8<<20, 64, seed)
 		if err != nil {
 			return nil, err
 		}
-		return &Profile{Class: class, Pattern: p, ReqBytes: 64, Think: sim.NS(200), WriteEvery: 3}, nil
+		p.Pattern = take(&ps.rands, r)
+		p.ReqBytes, p.Think, p.WriteEvery = 64, sim.NS(200), 3
+	default:
+		return nil, fmt.Errorf("trace: unknown workload class %d", ps.class)
 	}
-	return nil, fmt.Errorf("trace: unknown workload class %d", class)
+	return take(&ps.profiles, p), nil
+}
+
+// take stores v in the next free element of *slab and returns its
+// address. A full slab is replaced by a fresh one of the same capacity,
+// never grown in place, so no element handed out is copied.
+func take[T any](slab *[]T, v T) *T {
+	if len(*slab) == cap(*slab) {
+		*slab = make([]T, 0, max(cap(*slab), 1))
+	}
+	*slab = append(*slab, v)
+	return &(*slab)[len(*slab)-1]
 }
