@@ -7,6 +7,7 @@ import (
 	"repro/internal/dram/wcd"
 	"repro/internal/netcalc"
 	"repro/internal/noc"
+	"repro/internal/sim"
 )
 
 // AuditOptions parameterizes EnableAudit.
@@ -47,9 +48,8 @@ func (p *Platform) EnableAudit(opts AuditOptions) (*audit.Auditor, error) {
 	p.ncCache = netcalc.NewCache(0)
 	p.dramReq, p.dramReqErr = wcd.ServiceCurve(wcd.DefaultParams(), 32)
 	p.audCurves = auditCurves{
-		dram:  make(map[int]netcalc.Curve),
-		alpha: make(map[tokenKey]netcalc.Curve),
-		noc:   make(map[nocKey]netcalc.Curve),
+		req: make(map[int]*reqCurves),
+		noc: make(map[uint64]netcalc.Curve),
 	}
 	p.aud.Reserve(len(p.order))
 	for _, a := range p.order {
@@ -68,6 +68,10 @@ func (p *Platform) EnableAudit(opts AuditOptions) (*audit.Auditor, error) {
 
 // Auditor returns the platform's auditor (nil when disabled).
 func (p *Platform) Auditor() *audit.Auditor { return p.aud }
+
+// NetcalcCache returns the cache the auditor composes analytic bounds
+// through, nil until EnableAudit.
+func (p *Platform) NetcalcCache() *netcalc.Cache { return p.ncCache }
 
 // registerAudit captures one app's contract with the auditor.
 func (p *Platform) registerAudit(a *App) {
@@ -118,21 +122,24 @@ func (p *Platform) analyticDelayBoundNS(a *App) float64 {
 		return 0 // no analytic bound derivable; attribution-only
 	}
 	prof := a.cfg.Profile
-	thinkNS := prof.Think.Nanoseconds()
+	// Think times under 1 ns are clamped to 1 ns, and key as 1 ns.
+	think, thinkNS := prof.Think, prof.Think.Nanoseconds()
 	if thinkNS < 1 {
-		thinkNS = 1
+		think, thinkNS = sim.Nanosecond, 1
 	}
 	cv := &p.audCurves
-	tk := tokenKey{prof.ReqBytes, thinkNS}
-	alpha, ok := cv.alpha[tk]
+	rc := cv.req[prof.ReqBytes]
+	if rc == nil {
+		rc = &reqCurves{
+			dram:  netcalc.Scale(p.dramReq, float64(prof.ReqBytes)),
+			alpha: make(map[sim.Duration]netcalc.Curve),
+		}
+		cv.req[prof.ReqBytes] = rc
+	}
+	alpha, ok := rc.alpha[think]
 	if !ok {
 		alpha = netcalc.TokenBucket(float64(prof.ReqBytes), float64(prof.ReqBytes)/thinkNS)
-		cv.alpha[tk] = alpha
-	}
-	dramBytes, ok := cv.dram[prof.ReqBytes]
-	if !ok {
-		dramBytes = netcalc.Scale(p.dramReq, float64(prof.ReqBytes))
-		cv.dram[prof.ReqBytes] = dramBytes
+		rc.alpha[think] = alpha
 	}
 
 	contenders := p.channelContenders(a)
@@ -144,13 +151,13 @@ func (p *Platform) analyticDelayBoundNS(a *App) float64 {
 	for _, ch := range targets {
 		// The mesh curve depends only on the route length and the
 		// contender count, so the way there and the way back share it.
-		nk := nocKey{noc.HopCount(a.cfg.Node, ch.node), contenders}
+		nk := nocKey(noc.HopCount(a.cfg.Node, ch.node), contenders)
 		nocPath, ok := cv.noc[nk]
 		if !ok {
 			nocPath = p.mesh.ServiceCurve(a.cfg.Node, ch.node, contenders)
 			cv.noc[nk] = nocPath
 		}
-		b := p.ncCache.DelayBoundThrough(alpha, nocPath, dramBytes, nocPath)
+		b := p.ncCache.DelayBoundThrough(alpha, nocPath, rc.dram, nocPath)
 		if b > bound {
 			bound = b
 		}
@@ -166,18 +173,23 @@ func (p *Platform) analyticDelayBoundNS(a *App) float64 {
 // auditCurves holds the curves analyticDelayBoundNS composes, one value
 // per distinct input for the life of the auditor. Apps sharing an input
 // pass the very same curve value, which the netcalc interner recognises
-// by its backing array without hashing it again.
+// by its backing array without hashing it again. Every key is one
+// 64-bit word, so each lookup takes the map's integer fast path.
 type auditCurves struct {
-	dram  map[int]netcalc.Curve // Scale(dramReq, ReqBytes) per ReqBytes
-	alpha map[tokenKey]netcalc.Curve
-	noc   map[nocKey]netcalc.Curve
+	req map[int]*reqCurves       // per ReqBytes
+	noc map[uint64]netcalc.Curve // per nocKey
 }
 
-// tokenKey is a closed-loop arrival contract: ReqBytes per think time.
-type tokenKey struct {
-	reqBytes int
-	thinkNS  float64
+// reqCurves holds the curves of one request size: the DRAM curve
+// scaled to it, and the closed-loop token bucket (ReqBytes per think
+// time) per think time.
+type reqCurves struct {
+	dram  netcalc.Curve
+	alpha map[sim.Duration]netcalc.Curve
 }
 
-// nocKey is a mesh service curve's input: hop count and contenders.
-type nocKey struct{ hops, contenders int }
+// nocKey packs a mesh service curve's input, hop count and contenders,
+// into one word.
+func nocKey(hops, contenders int) uint64 {
+	return uint64(hops)<<32 | uint64(uint32(contenders))
+}

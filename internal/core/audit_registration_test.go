@@ -242,16 +242,17 @@ func TestEnableAuditAllocation(t *testing.T) {
 
 // TestBigMeshSetupAllocBudget gates what the big mesh costs before its
 // first event: one BuildPlatform plus EnableAudit, the setup a bigmesh
-// run pays, within 1.25 MiB and 2,100 heap objects (1,249,056 B in
-// 1,902 objects today, 1,260,848 B in 2,013 under -race). Apps, their
+// run pays, within 1.125 MiB and 1,800 heap objects (1,140,296 B in
+// 1,727 objects today, 1,140,568 B in 1,727 under -race). Apps, their
 // profiles and patterns, regulator entities and app auditors come from
 // per-platform arrays, names from one buffer, a histogram holds no
-// counter until it records, cache sets cost a 4-byte index entry until
-// installed, and the audit curves, MPAM partitions and router closures
-// are built once or on first use, so an eager per-app, per-set or
-// per-bucket allocation fails here.
+// counter until it records and no exemplar until one is offered, cache
+// sets cost a 4-byte index entry until installed, and the audit
+// curves, MPAM partitions and router closures are built once or on
+// first use, so an eager per-app, per-set or per-bucket allocation
+// fails here.
 func TestBigMeshSetupAllocBudget(t *testing.T) {
-	const maxBytes, maxObjects = 5 << 20 / 4, 2_100 // 1.25 MiB
+	const maxBytes, maxObjects = 9 << 20 / 8, 1_800 // 1.125 MiB
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	p, _, err := BuildPlatform(BigMeshSpec(0))
@@ -313,14 +314,29 @@ func TestBigMeshRunHeapBudget(t *testing.T) {
 // so neither half pays for the previous op's garbage.
 //
 //	go test ./internal/core/ -run '^$' -bench BigMeshSetup -benchmem
-func BenchmarkBigMeshSetup(b *testing.B) {
+func BenchmarkBigMeshSetup(b *testing.B) { benchSetup(b, BigMeshSpec(0)) }
+
+// BenchmarkLegacySetup is BenchmarkBigMeshSetup on the legacy 4x4
+// platform with six Infotainment hogs and no QoS mechanism, the
+// legacy-contended workload's spec. Its audit half is almost all
+// analytic bound composition: seven registrations, each a token bucket
+// through NoC, WCD DRAM and NoC service curves.
+//
+//	go test ./internal/core/ -run '^$' -bench LegacySetup -benchmem
+func BenchmarkLegacySetup(b *testing.B) {
+	benchSetup(b, RunSpec{Hogs: 6, HogClass: trace.Infotainment, Duration: sim.Millisecond, Seed: 1, Telemetry: true})
+}
+
+// benchSetup times BuildPlatform (build) and EnableAudit on a freshly
+// built platform (audit) for spec, each op from a collected heap.
+func benchSetup(b *testing.B, spec RunSpec) {
 	b.Run("build", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			runtime.GC()
 			b.StartTimer()
-			if _, _, err := BuildPlatform(BigMeshSpec(0)); err != nil {
+			if _, _, err := BuildPlatform(spec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -329,7 +345,7 @@ func BenchmarkBigMeshSetup(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			p, _, err := BuildPlatform(BigMeshSpec(0))
+			p, _, err := BuildPlatform(spec)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -177,10 +177,9 @@ func Compute(p Params, n int) (Result, error) {
 
 	// Steps 1-2, upper: misses plus a worst-case back-to-back hit
 	// block. Lower: hits packed into existing service gaps.
-	baseUpper := float64(n)*cm.ReadMiss + hitBlockCost(cm, p.NCap)
 	baseLower := float64(n)*cm.ReadMiss + float64(p.NCap)*cm.HitBurst
 
-	upper, itU := fixpoint(p, cm, baseUpper)
+	upper, itU := fixpoint(p, cm, upperBase(p, cm, n))
 	lower, itL := fixpoint(p, cm, baseLower)
 	return Result{
 		Upper:           upper,
@@ -192,6 +191,12 @@ func Compute(p Params, n int) (Result, error) {
 }
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b)) }
+
+// upperBase is the upper bound's steps 1-2 for queue position n: n
+// misses plus a worst-case back-to-back block of NCap hits.
+func upperBase(p Params, cm CostModel, n int) float64 {
+	return float64(n)*cm.ReadMiss + hitBlockCost(cm, p.NCap)
+}
 
 // hitBlockCost is the convex cost of serving k hits back-to-back as a
 // standalone block: one pipeline fill plus k bursts.
@@ -257,33 +262,43 @@ func refreshes(cm CostModel, T float64) int {
 // rate-latency curve) for end-to-end analysis, as Section IV describes.
 // The Y unit is requests; multiply by the line size for bytes.
 func ServiceCurve(p Params, maxN int) (netcalc.Curve, error) {
-	if maxN < 1 {
-		return netcalc.Curve{}, fmt.Errorf("wcd: maxN must be >= 1, got %d", maxN)
-	}
-	samples := make([]netcalc.Point, 0, maxN)
-	prevT := 0.0
-	for n := 1; n <= maxN; n++ {
-		res, err := Compute(p, n)
-		if err != nil {
-			return netcalc.Curve{}, err
-		}
-		if math.IsInf(res.Upper, 1) {
-			return netcalc.Curve{}, fmt.Errorf("wcd: controller saturated at write rate %g req/ns", p.WriteRate)
-		}
-		samples = append(samples, netcalc.Point{X: res.Upper, Y: float64(n)})
-		prevT = res.Upper
+	samples, err := upperSamples(p, maxN)
+	if err != nil {
+		return netcalc.Curve{}, err
 	}
 	// Continue past the last sample at the marginal service rate; for a
 	// feasible write load t_N is asymptotically linear in N, so the last
 	// segment's slope is the long-run rate.
 	finalSlope := 0.0
 	if maxN >= 2 {
-		dT := prevT - samples[maxN-2].X
+		dT := samples[maxN-1].X - samples[maxN-2].X
 		if dT > 0 {
 			finalSlope = 1 / dT
 		}
 	}
 	return netcalc.FromSamples(samples, finalSlope)
+}
+
+// upperSamples returns (Compute(p, n).Upper, n) for n = 1..maxN in one
+// pass: the parameters are validated and the cost model derived once,
+// and only the upper fixed point runs per n.
+func upperSamples(p Params, maxN int) ([]netcalc.Point, error) {
+	if maxN < 1 {
+		return nil, fmt.Errorf("wcd: maxN must be >= 1, got %d", maxN)
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	cm := p.Costs()
+	samples := make([]netcalc.Point, 0, maxN)
+	for n := 1; n <= maxN; n++ {
+		upper, _ := fixpoint(p, cm, upperBase(p, cm, n))
+		if math.IsInf(upper, 1) {
+			return nil, fmt.Errorf("wcd: controller saturated at write rate %g req/ns", p.WriteRate)
+		}
+		samples = append(samples, netcalc.Point{X: upper, Y: float64(n)})
+	}
+	return samples, nil
 }
 
 // TableRow is one line of the Table II reproduction.

@@ -1,6 +1,7 @@
 package wcd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -315,4 +316,93 @@ func TestWCDBoundVsSimulation(t *testing.T) {
 		t.Errorf("simulated latency %.1fns exceeds analytic upper bound %.1fns", got, res.Upper)
 	}
 	t.Logf("simulated %.1fns vs bound [%.1f, %.1f]ns", got, res.Lower, res.Upper)
+}
+
+// referenceServiceCurve builds the service curve from full Compute
+// calls, one per queue position, as the curve is defined.
+func referenceServiceCurve(p Params, maxN int) (netcalc.Curve, error) {
+	samples := make([]netcalc.Point, 0, maxN)
+	for n := 1; n <= maxN; n++ {
+		res, err := Compute(p, n)
+		if err != nil {
+			return netcalc.Curve{}, err
+		}
+		if math.IsInf(res.Upper, 1) {
+			return netcalc.Curve{}, fmt.Errorf("wcd: controller saturated at write rate %g req/ns", p.WriteRate)
+		}
+		samples = append(samples, netcalc.Point{X: res.Upper, Y: float64(n)})
+	}
+	finalSlope := 0.0
+	if maxN >= 2 {
+		if dT := samples[maxN-1].X - samples[maxN-2].X; dT > 0 {
+			finalSlope = 1 / dT
+		}
+	}
+	return netcalc.FromSamples(samples, finalSlope)
+}
+
+// TestServiceCurveMatchesCompute pins the one-pass ServiceCurve to
+// Compute: every sample equals Compute(p, n).Upper bit for bit, the
+// curve equals the one built from those Compute calls bit for bit, and
+// a saturated or invalid configuration fails with the same error.
+// Write rates run from 0 to just below saturation on DDR3, DDR4 and
+// LPDDR4 timing, with and without promoted row hits.
+func TestServiceCurveMatchesCompute(t *testing.T) {
+	const maxN = 32
+	for _, tm := range []struct {
+		name   string
+		timing dram.Timing
+	}{{"ddr3", dram.DDR3_1600()}, {"ddr4", dram.DDR4_2400()}, {"lpddr4", dram.LPDDR4_3200()}} {
+		for _, ncap := range []int{16, 0} {
+			p := DefaultParams()
+			p.Timing, p.NCap = tm.timing, ncap
+			cm := p.Costs()
+			// The write rate at which fixpoint's growth reaches 1.
+			sat := (1 - cm.RefreshCost/cm.RefreshPeriod) / (cm.WritePerReq + cm.BatchOverhead/float64(p.NWd))
+			for _, frac := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1, 1.5} {
+				p.WriteRate = frac * sat
+				name := fmt.Sprintf("%s/ncap%d/%.3gsat", tm.name, ncap, frac)
+				got, gotErr := ServiceCurve(p, maxN)
+				want, wantErr := referenceServiceCurve(p, maxN)
+				if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+					t.Fatalf("%s: error %v, reference %v", name, gotErr, wantErr)
+				}
+				if frac >= 1 && gotErr == nil {
+					t.Fatalf("%s: saturated controller gave a curve", name)
+				}
+				if gotErr != nil {
+					continue
+				}
+				samples, err := upperSamples(p, maxN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, s := range samples {
+					res, err := Compute(p, i+1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(s.X) != math.Float64bits(res.Upper) {
+						t.Fatalf("%s: sample %d at %v, Compute upper %v", name, i+1, s.X, res.Upper)
+					}
+				}
+				gp, wp := got.Points(), want.Points()
+				same := len(gp) == len(wp) && math.Float64bits(got.FinalSlope()) == math.Float64bits(want.FinalSlope())
+				for i := 0; same && i < len(gp); i++ {
+					same = math.Float64bits(gp[i].X) == math.Float64bits(wp[i].X) &&
+						math.Float64bits(gp[i].Y) == math.Float64bits(wp[i].Y)
+				}
+				if !same {
+					t.Fatalf("%s: curve %v, reference %v", name, got, want)
+				}
+			}
+		}
+	}
+	bad := DefaultParams()
+	bad.NWd = 0
+	_, gotErr := ServiceCurve(bad, maxN)
+	_, wantErr := referenceServiceCurve(bad, maxN)
+	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+		t.Fatalf("invalid params: error %v, reference %v", gotErr, wantErr)
+	}
 }

@@ -26,11 +26,86 @@ var convScratchPool = sync.Pool{New: func() interface{} { return new(convScratch
 //
 // which is the composition operator for service curves: a flow crossing
 // two servers with service curves f and g receives the end-to-end
-// service curve f (*) g. The implementation is exact for arbitrary
-// piecewise-linear wide-sense-increasing curves: each pair of segments
+// service curve f (*) g. The result is exact for arbitrary
+// piecewise-linear wide-sense-increasing curves. When both operands are
+// convex (rate-latency curves, the WCD DRAM curve) it has a closed form
+// (convolveConvex); any other pair (TDMA and CBS staircases, token
+// buckets against them) takes the general lower-envelope construction
+// (convolveEnvelope).
+func Convolve(f, g Curve) Curve {
+	if isConvex(f) && isConvex(g) {
+		if out, ok := convolveConvex(f, g); ok {
+			return out
+		}
+	}
+	return convolveEnvelope(f, g)
+}
+
+// isConvex reports whether c's slopes never decrease from one piece to
+// the next, the final slope included. An offset at zero (a token
+// bucket's burst) does not count against it: Convolve factors offsets
+// out.
+func isConvex(c Curve) bool {
+	pts := c.normPoints()
+	prev := 0.0
+	for i := 1; i < len(pts); i++ {
+		s := slope(pts[i-1], pts[i])
+		if s < prev {
+			return false
+		}
+		prev = s
+	}
+	return c.finalSlope >= prev
+}
+
+// convolveConvex is the closed form of f (*) g for convex f and g (Le
+// Boudec & Thiran): starting at f(0)+g(0), the pieces of
+// both curves joined in ascending slope order (f's first on a tie),
+// up to the first infinite piece, whose slope is the smaller final
+// slope. A breakpoint after i pieces of f and j of g sits at
+// (xf_i + xg_j, (yf_i - f(0)) + (yg_j - g(0)) + f(0)+g(0)), which is
+// how the envelope construction computes the same point. ok is false
+// if rounding makes two breakpoints coincide; the caller then takes the
+// envelope path.
+func convolveConvex(f, g Curve) (out Curve, ok bool) {
+	fp, gp := f.normPoints(), g.normPoints()
+	final := math.Min(f.finalSlope, g.finalSlope)
+	pts := make([]Point, 1, len(fp)+len(gp)-1)
+	i, j := 0, 0
+	for {
+		sf, sg := math.Inf(1), math.Inf(1)
+		if i+1 < len(fp) {
+			sf = slope(fp[i], fp[i+1])
+		}
+		if j+1 < len(gp) {
+			sg = slope(gp[j], gp[j+1])
+		}
+		switch {
+		case sf <= sg && sf <= final:
+			i++
+		case sg <= final:
+			j++
+		default:
+			off := fp[0].Y + gp[0].Y
+			for k := range pts {
+				pts[k].Y += off
+			}
+			out = Curve{pts: pts, finalSlope: final}
+			out.simplify()
+			return out, true
+		}
+		p := Point{fp[i].X + gp[j].X, (fp[i].Y - fp[0].Y) + (gp[j].Y - gp[0].Y)}
+		if p.X <= pts[len(pts)-1].X {
+			return Curve{}, false
+		}
+		pts = append(pts, p)
+	}
+}
+
+// convolveEnvelope is the general convolution: each pair of segments
 // is convolved (segments concatenate in ascending slope order) and the
 // result is the lower envelope of all partial convolutions.
-func Convolve(f, g Curve) Curve {
+func convolveEnvelope(f, g Curve) Curve {
 	sc := convScratchPool.Get().(*convScratch)
 	// (f (*) g)(t) >= f(0)+g(0); factor the offsets out so that the
 	// segment machinery can assume both operands start at 0.

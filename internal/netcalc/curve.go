@@ -118,8 +118,15 @@ func Affine(offset, slope float64) Curve {
 // wide-sense-increasing function, sorting them and prepending (0, y0)
 // if needed; after the last sample the curve continues with finalSlope.
 func FromSamples(samples []Point, finalSlope float64) (Curve, error) {
-	s := append([]Point(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i].X < s[j].X })
+	// One slot ahead of the samples for a prepended origin.
+	buf := append(make([]Point, 1, len(samples)+1), samples...)
+	s := buf[1:]
+	for i := 1; i < len(s); i++ {
+		if s[i].X < s[i-1].X {
+			sort.Slice(s, func(i, j int) bool { return s[i].X < s[j].X })
+			break
+		}
+	}
 	// Drop duplicate Xs, keeping the max Y (conservative for service
 	// curves built from measured points).
 	out := s[:0]
@@ -133,8 +140,8 @@ func FromSamples(samples []Point, finalSlope float64) (Curve, error) {
 		out = append(out, p)
 	}
 	if len(out) == 0 || out[0].X > 0 {
-		y0 := 0.0
-		out = append([]Point{{0, y0}}, out...)
+		out = buf[:len(out)+1]
+		out[0] = Point{0, 0}
 	}
 	return NewCurve(out, finalSlope)
 }

@@ -53,6 +53,48 @@ func BenchmarkConvolve(b *testing.B) {
 	}
 }
 
+// convexCurvePairs returns the operand pairs the runtime auditor
+// convolves: two NoC rate-latency curves (a 16 B/ns link shared by
+// 1-4 flows, 1-4 hops plus ejection at 1 ns each), then their
+// composition with the
+// WCD DRAM service curve scaled to 64 B requests. Every operand is
+// convex, so Convolve takes the closed form.
+func convexCurvePairs() [][2]netcalc.Curve {
+	dram, err := wcd.ServiceCurve(wcd.DefaultParams(), 32)
+	if err != nil {
+		panic(err)
+	}
+	dram = netcalc.Scale(dram, 64)
+	var pairs [][2]netcalc.Curve
+	for i := 0; i < 4; i++ {
+		mesh := netcalc.RateLatency(16/float64(1+i), float64(2+i))
+		pairs = append(pairs,
+			[2]netcalc.Curve{mesh, mesh},
+			[2]netcalc.Curve{netcalc.Convolve(mesh, mesh), dram})
+	}
+	return pairs
+}
+
+// BenchmarkConvolveConvex times Convolve on the auditor's convex
+// operand pairs (closed) against the general envelope construction on
+// the same pairs (envelope), which is what Convolve ran on them before
+// it recognised convex operands.
+func BenchmarkConvolveConvex(b *testing.B) {
+	pairs := convexCurvePairs()
+	for _, k := range []struct {
+		name string
+		conv func(f, g netcalc.Curve) netcalc.Curve
+	}{{"closed", netcalc.Convolve}, {"envelope", netcalc.ConvolveEnvelope}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				k.conv(p[0], p[1])
+			}
+		})
+	}
+}
+
 func BenchmarkConvolveCached(b *testing.B) {
 	pairs := benchCurvePairs()
 	cache := netcalc.NewCache(0)

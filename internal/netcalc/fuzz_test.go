@@ -2,6 +2,7 @@ package netcalc
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -128,6 +129,79 @@ func FuzzOperators(f *testing.F) {
 			if got != want && !almostEqual(got, want) {
 				t.Fatalf("%s = %v, DelayBound(alpha, beta*gamma) = %v", name, got, want)
 			}
+		}
+	})
+}
+
+// fuzzConvexCurve decodes a curve with fuzzCurve and makes it convex:
+// its pieces re-joined in ascending slope order from the same offset,
+// and the final slope raised to at least the steepest piece's.
+func fuzzConvexCurve(b []byte) (Curve, []byte) {
+	c, b := fuzzCurve(b)
+	pts := c.normPoints()
+	steps := make([]Point, 0, len(pts)-1)
+	for i := 1; i < len(pts); i++ {
+		steps = append(steps, Point{pts[i].X - pts[i-1].X, pts[i].Y - pts[i-1].Y})
+	}
+	sort.SliceStable(steps, func(i, j int) bool { return steps[i].Y/steps[i].X < steps[j].Y/steps[j].X })
+	out := []Point{pts[0]}
+	final := c.finalSlope
+	for _, s := range steps {
+		last := out[len(out)-1]
+		out = append(out, Point{last.X + s.X, last.Y + s.Y})
+		final = math.Max(final, s.Y/s.X)
+	}
+	return MustCurve(out, final), b
+}
+
+// sameFunction reports whether c and d agree within the package's
+// tolerance at every breakpoint of either and in their final slopes.
+// Unlike Equal it does not ask for the same breakpoints: the envelope
+// construction can keep a crossing candidate a few ulps off the line
+// through its neighbours (a span of 1e-3 turns that into a slope
+// difference above eps), which the closed form never emits.
+func sameFunction(c, d Curve) bool {
+	if !almostEqual(c.finalSlope, d.finalSlope) {
+		return false
+	}
+	for _, e := range []Curve{c, d} {
+		for _, p := range e.normPoints() {
+			if !almostEqual(c.Eval(p.X), d.Eval(p.X)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzConvolveConvex drives the closed-form convolution on two decoded
+// convex curves: Convolve must take it, its result must be canonical,
+// and it must be the same function as the general envelope
+// construction within the package's tolerance (the two round
+// differently in the low bits on some shapes;
+// TestAuditOperandsBitIdentical pins bit identity on the auditor's own
+// operands).
+func FuzzConvolveConvex(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 8, 0, 4})
+	f.Add([]byte{3, 2, 5, 9, 0, 12, 30, 7, 2, 4, 1, 6, 3, 40})
+	f.Add([]byte{5, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 3, 5, 6, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 15})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		beta, data := fuzzConvexCurve(data)
+		gamma, _ := fuzzConvexCurve(data)
+		if !isConvex(beta) || !isConvex(gamma) {
+			t.Fatalf("decoded curves are not convex: %v, %v", beta, gamma)
+		}
+		closed, ok := convolveConvex(beta, gamma)
+		if !ok {
+			t.Fatalf("closed form refused %v (*) %v", beta, gamma)
+		}
+		checkCanonical(t, "convolveConvex", closed)
+		if got := Convolve(beta, gamma); !got.identical(closed) {
+			t.Fatalf("Convolve did not take the closed form:\n  Convolve %v\n  closed   %v", got, closed)
+		}
+		if env := convolveEnvelope(beta, gamma); !sameFunction(closed, env) {
+			t.Fatalf("%v (*) %v:\n  closed form %v\n  envelope    %v", beta, gamma, closed, env)
 		}
 	})
 }

@@ -64,7 +64,7 @@ var (
 // order, followed by the counters, dense in ascending bucket order. A
 // header's low 32 bits are its octave's sub-bucket mask and its high
 // 32 bits the position in idx of the octave's first counter, so Record
-// finds a counter with two popcounts. An empty histogram is 104 B
+// finds a counter with two popcounts. An empty histogram is 80 B
 // holding no slice; one that has touched k sub-buckets in j octaves
 // adds j+k 8 B words plus append's growth slack. Reset zeroes the
 // counters and keeps the index. The zero value is ready to use, and
@@ -78,7 +78,10 @@ type Histogram struct {
 	sum     int64
 	min     int64
 	max     int64
-	ex      Exemplar
+	// ex is held out of line: nil until RecordExemplar first offers
+	// one, then overwritten in place. Only traced service histograms
+	// ever hold one.
+	ex *Exemplar
 }
 
 // NewHistogram returns an empty histogram.
@@ -292,7 +295,9 @@ func (h *Histogram) Reset() {
 	h.mu.Lock()
 	clear(h.idx[bits.OnesCount64(h.present):])
 	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
-	h.ex = Exemplar{}
+	if h.ex != nil {
+		*h.ex = Exemplar{}
+	}
 	h.mu.Unlock()
 }
 
@@ -332,8 +337,11 @@ func (h *Histogram) RecordExemplar(v int64, traceID string, atUnixNano int64) {
 	}
 	h.mu.Lock()
 	h.recordLocked(v)
+	if h.ex == nil {
+		h.ex = new(Exemplar)
+	}
 	if h.ex.TraceID == "" || v >= h.ex.Value || atUnixNano-h.ex.AtUnixNano > exemplarMaxAgeNS {
-		h.ex = Exemplar{TraceID: traceID, Value: v, AtUnixNano: atUnixNano}
+		*h.ex = Exemplar{TraceID: traceID, Value: v, AtUnixNano: atUnixNano}
 	}
 	h.mu.Unlock()
 }
@@ -345,7 +353,10 @@ func (h *Histogram) Exemplar() (Exemplar, bool) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.ex, h.ex.TraceID != ""
+	if h.ex == nil || h.ex.TraceID == "" {
+		return Exemplar{}, false
+	}
+	return *h.ex, true
 }
 
 // Summary is a point-in-time digest of a histogram, the shape the

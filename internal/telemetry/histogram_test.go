@@ -226,13 +226,13 @@ func TestBucketRoundTrip(t *testing.T) {
 }
 
 // TestHistogramFootprint pins the compact layout: an empty histogram
-// is a presence mask, one index-slice header and a few words, not a
-// pointer per octave.
+// is a presence mask, one index-slice header, a few words and a nil
+// exemplar pointer, not a pointer per octave or an exemplar inline.
 func TestHistogramFootprint(t *testing.T) {
 	size := unsafe.Sizeof(Histogram{})
 	t.Logf("unsafe.Sizeof(Histogram{}) = %d B", size)
-	if size > 128 {
-		t.Errorf("unsafe.Sizeof(Histogram{}) = %d B, want <= 128", size)
+	if size > 80 {
+		t.Errorf("unsafe.Sizeof(Histogram{}) = %d B, want <= 80", size)
 	}
 }
 
@@ -541,6 +541,21 @@ func TestHistogramRecordAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { h.Summarize() }); a != 0 {
 		t.Errorf("Summarize: %v allocs/run, want 0", a)
+	}
+	// The exemplar slot is allocated once, by the first exemplar, and
+	// overwritten in place after that, also across Reset.
+	h.RecordExemplar(1000, "4bf92f3577b34da6a3ce929d0e0e4736", 1)
+	at := int64(1)
+	ex := func() {
+		at++
+		h.RecordExemplar(1000, "4bf92f3577b34da6a3ce929d0e0e4736", at)
+	}
+	if a := testing.AllocsPerRun(100, ex); a != 0 {
+		t.Errorf("RecordExemplar with a held slot: %v allocs/run, want 0", a)
+	}
+	h.Reset()
+	if a := testing.AllocsPerRun(100, ex); a != 0 {
+		t.Errorf("RecordExemplar after Reset: %v allocs/run, want 0", a)
 	}
 }
 
