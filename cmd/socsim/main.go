@@ -74,6 +74,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -83,6 +84,7 @@ import (
 	"strconv"
 	"sync"
 	"syscall"
+	"time"
 
 	"repro/internal/audit"
 	"repro/internal/core"
@@ -254,7 +256,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "socsim: run complete; serving until SIGINT\n")
 			<-sigc // returns at once for a signal sent since the run
 		}
-		if err := srv.Close(); err != nil {
+		// Shutdown, not Close: a scrape answered as the run ends
+		// gets its whole body instead of a connection cut mid-write.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -356,4 +357,53 @@ func benchSetup(b *testing.B, spec RunSpec) {
 			}
 		}
 	})
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestBigMeshSnapshotAllocBudget bounds the end-of-run dump of a
+// bigmesh run as every in-memory consumer takes it: SnapshotMetrics,
+// then WriteOpenMetrics into a fresh bytes.Buffer. WriteOpenMetrics
+// sizes the exposition and grows such a buffer once, so the render
+// allocates at most 1.6 times the bytes it writes (a buffer grown by
+// doubling allocated 2.8 times). SnapshotMetrics' first call registers
+// the per-app gauges and histograms, about 0.6 times the dump more, so
+// the two together stay within twice the dump (3.4 times when the
+// buffer doubled).
+func TestBigMeshSnapshotAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("bytes.Buffer allocation figures do not hold under the race detector (see race_test.go)")
+	}
+	spec := BigMeshSpec(0)
+	spec.Telemetry = true
+	p, _, err := BuildPlatform(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.EnableAudit(AuditOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	p.StartApps()
+	p.RunFor(spec.Duration)
+	var start, snapped, dumped runtime.MemStats
+	runtime.ReadMemStats(&start)
+	p.SnapshotMetrics()
+	runtime.ReadMemStats(&snapped)
+	var buf bytes.Buffer
+	if err := p.Telemetry().Registry.WriteOpenMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&dumped)
+	snap := snapped.TotalAlloc - start.TotalAlloc
+	dump := dumped.TotalAlloc - snapped.TotalAlloc
+	written := uint64(buf.Len())
+	t.Logf("big-mesh dump of %d B: snapshot allocated %d B (%.2fx), render %d B (%.2fx)",
+		written, snap, float64(snap)/float64(written), dump, float64(dump)/float64(written))
+	if limit := written * 8 / 5; dump > limit {
+		t.Errorf("rendering the big-mesh dump allocated %d B for %d B of output, want <= %d B (1.6x)", dump, written, limit)
+	}
+	if limit := 2 * written; snap+dump > limit {
+		t.Errorf("big-mesh snapshot + dump allocated %d B for %d B of output, want <= %d B (2x)", snap+dump, written, limit)
+	}
 }

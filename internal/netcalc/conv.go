@@ -373,7 +373,33 @@ func lowerEnvelope(sc *convScratch) Curve {
 			bestVal, bestSlope = v, s
 		}
 	}
-	return buildFrom(xs, evalMin, bestSlope)
+	return dropRoundingKinks(buildFrom(xs, evalMin, bestSlope))
+}
+
+// dropRoundingKinks removes the breakpoints of an envelope that lie on
+// the line through their kept predecessor and their successor (the
+// final slope's continuation, after the last point) to within the
+// package tolerance on Y. A crossing candidate computed a few ulps off
+// that line survives simplify when it is close to a neighbour: the
+// slope between the two carries the rounding divided by their small
+// span, which can exceed eps, while their Y values carry it undivided.
+func dropRoundingKinks(c Curve) Curve {
+	pts := c.pts
+	out := pts[:1]
+	for i := 1; i < len(pts); i++ {
+		prev, p := out[len(out)-1], pts[i]
+		next := Point{p.X + 1, p.Y + c.finalSlope}
+		if i+1 < len(pts) {
+			next = pts[i+1]
+		}
+		if !almostEqual(p.Y, prev.Y+(next.Y-prev.Y)*(p.X-prev.X)/(next.X-prev.X)) {
+			out = append(out, p)
+		}
+	}
+	if len(out) == len(pts) {
+		return c
+	}
+	return MustCurve(out, c.finalSlope)
 }
 
 // appendPartialCrossings appends to out the intersections of two

@@ -154,30 +154,10 @@ func fuzzConvexCurve(b []byte) (Curve, []byte) {
 	return MustCurve(out, final), b
 }
 
-// sameFunction reports whether c and d agree within the package's
-// tolerance at every breakpoint of either and in their final slopes.
-// Unlike Equal it does not ask for the same breakpoints: the envelope
-// construction can keep a crossing candidate a few ulps off the line
-// through its neighbours (a span of 1e-3 turns that into a slope
-// difference above eps), which the closed form never emits.
-func sameFunction(c, d Curve) bool {
-	if !almostEqual(c.finalSlope, d.finalSlope) {
-		return false
-	}
-	for _, e := range []Curve{c, d} {
-		for _, p := range e.normPoints() {
-			if !almostEqual(c.Eval(p.X), d.Eval(p.X)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // FuzzConvolveConvex drives the closed-form convolution on two decoded
 // convex curves: Convolve must take it, its result must be canonical,
-// and it must be the same function as the general envelope
-// construction within the package's tolerance (the two round
+// and it must Equal the general envelope construction: the same
+// breakpoints within the package's tolerance (the two round
 // differently in the low bits on some shapes;
 // TestAuditOperandsBitIdentical pins bit identity on the auditor's own
 // operands).
@@ -200,7 +180,7 @@ func FuzzConvolveConvex(f *testing.F) {
 		if got := Convolve(beta, gamma); !got.identical(closed) {
 			t.Fatalf("Convolve did not take the closed form:\n  Convolve %v\n  closed   %v", got, closed)
 		}
-		if env := convolveEnvelope(beta, gamma); !sameFunction(closed, env) {
+		if env := convolveEnvelope(beta, gamma); !closed.Equal(env) {
 			t.Fatalf("%v (*) %v:\n  closed form %v\n  envelope    %v", beta, gamma, closed, env)
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -199,5 +200,34 @@ func TestRecordOfAdmissionValues(t *testing.T) {
 	}
 	if r.Values["admitted"] != 6 || r.Values["rejected"] != 2 || r.Values["rejection_rate"] != 0.25 {
 		t.Fatalf("values = %+v", r.Values)
+	}
+}
+
+// TestRecorderPayloadsHoldNoSlack: a Recorder keeps every run's
+// snapshot bytes until Flush, so each payload's spare capacity is held
+// for the whole sweep. The dump is sized before it is rendered, so that
+// spare is only the allocator's rounding of one exact allocation: under
+// an eighth for a small object, under one 8 KiB page for a large one,
+// so under 8 KiB either way. A buffer grown by doubling could hold up
+// to the payload's size again. The audited big mesh next to the tiny
+// run gives a dump of about 2 MB.
+func TestRecorderPayloadsHoldNoSlack(t *testing.T) {
+	specs := tinyMatrix().Expand()
+	big := specs[0]
+	big.Platform = core.BigMeshSpec(0)
+	big.Platform.Duration = 10 * sim.Microsecond
+	specs = append(specs, big)
+	for i := range specs {
+		specs[i].Platform.Audit = true
+	}
+	rec := NewRecorder(openStore(t), specs)
+	Run(specs, 2, nil)
+	for i, p := range rec.payloads {
+		if len(p) == 0 {
+			t.Fatalf("spec %d: no payload recorded", i)
+		}
+		if slack := cap(p) - len(p); slack >= 8<<10 {
+			t.Errorf("spec %d: payload of %d B holds %d B of spare capacity, want under 8 KiB", i, len(p), slack)
+		}
 	}
 }

@@ -1,0 +1,8 @@
+//go:build race
+
+package telemetry
+
+// The race detector's instrumentation turns off the compiler's
+// append-of-make optimization, so bytes.Buffer.Grow allocates its new
+// buffer twice and allocation budgets that render into one do not hold.
+func init() { raceEnabled = true }
