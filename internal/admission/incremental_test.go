@@ -1,7 +1,6 @@
 package admission
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -9,68 +8,6 @@ import (
 
 	"repro/internal/netcalc"
 )
-
-// TestEventQueueFIFO pins FIFO order through the head-indexed queue's
-// compaction path: keep the queue non-empty for long enough that the
-// dead-prefix compaction triggers and check nothing is lost or
-// reordered.
-func TestEventQueueFIFO(t *testing.T) {
-	var q eventQueue
-	next, want := 0, 0
-	push := func() {
-		q.push(event{app: AppRef{Name: fmt.Sprintf("app%d", next)}})
-		next++
-	}
-	pop := func() {
-		ev := q.pop()
-		if got := fmt.Sprintf("app%d", want); ev.app.Name != got {
-			t.Fatalf("pop = %q, want %q", ev.app.Name, got)
-		}
-		want++
-	}
-	// Phase 1: grow a backlog, then drain past the compaction threshold
-	// (head > 32 with a live tail).
-	for i := 0; i < 100; i++ {
-		push()
-	}
-	for i := 0; i < 60; i++ {
-		pop()
-	}
-	// Phase 2: steady churn with a standing backlog.
-	for i := 0; i < 500; i++ {
-		push()
-		pop()
-	}
-	// Drain.
-	for !q.empty() {
-		pop()
-	}
-	if want != next {
-		t.Fatalf("popped %d events, pushed %d", want, next)
-	}
-}
-
-// TestEventQueueAllocFlat checks the satellite fix: a long
-// activation/termination churn cycle through the RM's pending queue
-// must not reallocate per event. The old `pending = pending[1:]`
-// reslice kept the dead prefix alive so every cycle grew the backing
-// array; the head-indexed queue reuses it.
-func TestEventQueueAllocFlat(t *testing.T) {
-	var q eventQueue
-	ev := event{typ: ActMsg, app: AppRef{Name: "app"}}
-	// Warm up: let the buffer reach its steady-state capacity.
-	for i := 0; i < 64; i++ {
-		q.push(ev)
-		q.pop()
-	}
-	avg := testing.AllocsPerRun(1000, func() {
-		q.push(ev)
-		q.pop()
-	})
-	if avg != 0 {
-		t.Fatalf("push/pop churn allocates %.2f allocs/op, want 0", avg)
-	}
-}
 
 // TestDelayBoundCheckMatchesUncached pins the decider to netcalc, the
 // analysed reference: its decisions agree with a netcalc evaluation of

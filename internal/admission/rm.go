@@ -3,6 +3,7 @@ package admission
 import (
 	"fmt"
 
+	"repro/internal/fifo"
 	"repro/internal/noc"
 	"repro/internal/sim"
 )
@@ -11,36 +12,6 @@ import (
 type event struct {
 	typ MsgType
 	app AppRef
-}
-
-// eventQueue is a head-indexed FIFO of RM events. Popping advances a
-// head index instead of reslicing (`pending = pending[1:]` kept the
-// backing array's dead prefix alive, so every push/pop cycle grew and
-// reallocated it); the buffer is reset when drained and compacted when
-// the dead prefix dominates, so steady-state churn is allocation-flat.
-// Same pattern as the NI flit queue fix.
-type eventQueue struct {
-	buf  []event
-	head int
-}
-
-func (q *eventQueue) push(ev event) { q.buf = append(q.buf, ev) }
-
-func (q *eventQueue) empty() bool { return q.head == len(q.buf) }
-
-func (q *eventQueue) pop() event {
-	ev := q.buf[q.head]
-	q.buf[q.head] = event{} // release the AppRef strings
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head > 32 && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	return ev
 }
 
 // RM is the Resource Manager: the centralized scheduling unit with the
@@ -52,7 +23,7 @@ type RM struct {
 	node noc.Coord
 
 	active  map[string]AppRef
-	pending eventQueue
+	pending fifo.Queue[event]
 
 	reconfiguring bool
 	reconfStart   sim.Time
@@ -85,16 +56,16 @@ func (rm *RM) Active() []AppRef {
 // handle receives an actMsg or terMsg (invoked on control-packet
 // delivery at the RM node).
 func (rm *RM) handle(typ MsgType, app AppRef) {
-	rm.pending.push(event{typ, app})
+	rm.pending.Push(event{typ, app})
 	rm.next()
 }
 
 // next starts the following reconfiguration if idle.
 func (rm *RM) next() {
-	if rm.reconfiguring || rm.pending.empty() {
+	if rm.reconfiguring || rm.pending.Len() == 0 {
 		return
 	}
-	ev := rm.pending.pop()
+	ev := rm.pending.Pop()
 
 	switch ev.typ {
 	case ActMsg:

@@ -3,8 +3,9 @@ package mpam
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
+	"repro/internal/fifo"
 	"repro/internal/sim"
 )
 
@@ -84,8 +85,9 @@ type BWRequest struct {
 
 // partitionState is the arbiter's runtime state for one PARTID.
 type partitionState struct {
+	id    PARTID
 	cfg   PartitionBW
-	queue []*BWRequest
+	queue fifo.Queue[*BWRequest]
 
 	// maxTokens implements the maximum-bandwidth token bucket.
 	maxTokens float64
@@ -109,9 +111,18 @@ type Arbiter struct {
 	cfg  BWConfig
 	mons *MonitorSet
 
-	parts map[PARTID]*partitionState
+	// parts holds every PARTID the arbiter has seen, ordered by PARTID,
+	// so a dispatch walks them in a fixed order without sorting.
+	parts []partitionState
 	busy  bool
 	tel   *telemetryState
+
+	// inflight is the transfer being served; busy guarantees there is
+	// at most one. dispatchFn, completeFn and retryFn are the kernel
+	// callbacks, bound on first use so a dispatch schedules them
+	// without allocating a closure.
+	inflight                        *BWRequest
+	dispatchFn, completeFn, retryFn sim.Event
 }
 
 // NewArbiter builds a bandwidth arbiter. A MonitorSet may be attached
@@ -121,7 +132,7 @@ func NewArbiter(eng *sim.Engine, cfg BWConfig, mons *MonitorSet) (*Arbiter, erro
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Arbiter{eng: eng, cfg: cfg, mons: mons, parts: make(map[PARTID]*partitionState)}, nil
+	return &Arbiter{eng: eng, cfg: cfg, mons: mons}, nil
 }
 
 // Configure installs the bandwidth controls for a PARTID.
@@ -147,7 +158,7 @@ func (a *Arbiter) Configure(id PARTID, cfg PartitionBW) error {
 // Partition returns the controls configured for a PARTID, with ok
 // false when the arbiter has never seen it.
 func (a *Arbiter) Partition(id PARTID) (cfg PartitionBW, ok bool) {
-	if st := a.parts[id]; st != nil {
+	if st := a.lookup(id); st != nil {
 		return st.cfg, true
 	}
 	return PartitionBW{}, false
@@ -157,13 +168,38 @@ func (a *Arbiter) Partition(id PARTID) (cfg PartitionBW, ok bool) {
 // enforcement, expressed in nanoseconds of credit.
 func (a *Arbiter) burstWindowNS() float64 { return 100 }
 
-func (a *Arbiter) state(id PARTID) *partitionState {
-	st := a.parts[id]
-	if st == nil {
-		st = &partitionState{lastUpdate: a.eng.Now()}
-		a.parts[id] = st
+// search returns the index of id in parts, or where it would go, and
+// whether it is there.
+func (a *Arbiter) search(id PARTID) (int, bool) {
+	lo, hi := 0, len(a.parts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a.parts[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return st
+	return lo, lo < len(a.parts) && a.parts[lo].id == id
+}
+
+// lookup returns id's state, or nil when the arbiter has never seen it.
+func (a *Arbiter) lookup(id PARTID) *partitionState {
+	if i, ok := a.search(id); ok {
+		return &a.parts[i]
+	}
+	return nil
+}
+
+// state returns id's state, inserting it in PARTID order on first use.
+// The insertion moves the states after it, so a *partitionState is
+// only good until the next state call.
+func (a *Arbiter) state(id PARTID) *partitionState {
+	i, ok := a.search(id)
+	if !ok {
+		a.parts = slices.Insert(a.parts, i, partitionState{id: id, lastUpdate: a.eng.Now()})
+	}
+	return &a.parts[i]
 }
 
 // Submit enqueues a transfer.
@@ -175,15 +211,14 @@ func (a *Arbiter) Submit(r *BWRequest) error {
 	if a.tel != nil {
 		a.traceSubmit(r)
 	}
-	st := a.state(r.Label.PARTID)
-	st.queue = append(st.queue, r)
+	a.state(r.Label.PARTID).queue.Push(r)
 	a.kick()
 	return nil
 }
 
 // Served returns the bytes and request count delivered for a PARTID.
 func (a *Arbiter) Served(id PARTID) (bytes, requests uint64) {
-	st := a.parts[id]
+	st := a.lookup(id)
 	if st == nil {
 		return 0, 0
 	}
@@ -195,7 +230,10 @@ func (a *Arbiter) kick() {
 		return
 	}
 	a.busy = true
-	a.eng.At(a.eng.Now(), a.dispatch)
+	if a.dispatchFn == nil {
+		a.dispatchFn = a.dispatch
+	}
+	a.eng.At(a.eng.Now(), a.dispatchFn)
 }
 
 // accrue updates a partition's token/credit meters to the current time.
@@ -231,7 +269,7 @@ func (a *Arbiter) quantumOf(t sim.Time) int {
 // eligible reports whether the partition may be served right now, and
 // if not, when it could be.
 func (a *Arbiter) eligible(st *partitionState, now sim.Time) (bool, sim.Time) {
-	head := st.queue[0]
+	head := st.queue.Peek()
 	retry := sim.Forever
 
 	// Maximum-bandwidth partitioning: the head transfer must conform.
@@ -264,26 +302,16 @@ func (a *Arbiter) eligible(st *partitionState, now sim.Time) (bool, sim.Time) {
 
 // dispatch picks and serves the next transfer per the combined
 // controls: strict priority first, then below-minimum partitions, then
-// stride order.
+// stride order. One pass over the PARTID-ordered partitions keeps the
+// best eligible one and the best quantum-blocked one; ties go to the
+// lower PARTID.
 func (a *Arbiter) dispatch() {
 	now := a.eng.Now()
-	type cand struct {
-		id PARTID
-		st *partitionState
-	}
-	var cands []cand
-	var quantumHolders []cand
+	var best, holder *partitionState
 	earliestRetry := sim.Forever
-
-	ids := make([]PARTID, 0, len(a.parts))
-	for id := range a.parts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	for _, id := range ids {
-		st := a.parts[id]
-		if len(st.queue) == 0 {
+	for i := range a.parts {
+		st := &a.parts[i]
+		if st.queue.Len() == 0 {
 			continue
 		}
 		a.accrue(st)
@@ -296,65 +324,75 @@ func (a *Arbiter) dispatch() {
 			// holds the current quantum, serve them anyway (work
 			// conserving), max-limit permitting.
 			if a.cfg.Portions > 0 && st.quanta != nil &&
-				(st.cfg.MaxBytesPerNS == 0 || st.maxTokens >= float64(st.queue[0].Bytes)) {
-				quantumHolders = append(quantumHolders, cand{id, st})
+				(st.cfg.MaxBytesPerNS == 0 || st.maxTokens >= float64(st.queue.Peek().Bytes)) &&
+				(holder == nil || better(st, holder)) {
+				holder = st
 			}
 			continue
 		}
-		cands = append(cands, cand{id, st})
+		if best == nil || better(st, best) {
+			best = st
+		}
 	}
-	if len(cands) == 0 && len(quantumHolders) > 0 {
-		cands = quantumHolders // work conservation across unheld quanta
+	if best == nil {
+		best = holder // work conservation across unheld quanta
 	}
-	if len(cands) == 0 {
+	if best == nil {
 		a.busy = false
 		if earliestRetry != sim.Forever {
-			a.eng.At(earliestRetry, func() {
-				if !a.busy {
-					a.busy = true
-					a.dispatch()
-				}
-			})
+			if a.retryFn == nil {
+				a.retryFn = a.retry
+			}
+			a.eng.At(earliestRetry, a.retryFn)
 		}
 		return
 	}
 
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if better(c.st, best.st) {
-			best = c
-		}
-	}
-
-	req := best.st.queue[0]
-	best.st.queue = best.st.queue[1:]
+	req := best.queue.Pop()
 	bytes := float64(req.Bytes)
-	best.st.maxTokens -= bytes
-	best.st.minCredit -= bytes
-	if best.st.minCredit < -best.st.cfg.MinBytesPerNS*a.burstWindowNS() {
-		best.st.minCredit = -best.st.cfg.MinBytesPerNS * a.burstWindowNS()
+	best.maxTokens -= bytes
+	best.minCredit -= bytes
+	if best.minCredit < -best.cfg.MinBytesPerNS*a.burstWindowNS() {
+		best.minCredit = -best.cfg.MinBytesPerNS * a.burstWindowNS()
 	}
-	stride := best.st.cfg.Stride
+	stride := best.cfg.Stride
 	if stride <= 0 {
 		stride = 1
 	}
-	best.st.pass += bytes * stride
-	best.st.served += uint64(req.Bytes)
-	best.st.requests++
+	best.pass += bytes * stride
+	best.served += uint64(req.Bytes)
+	best.requests++
 
-	svc := sim.NS(bytes / a.cfg.CapacityBytesPerNS)
-	a.eng.After(svc, func() {
-		if a.mons != nil {
-			a.mons.RecordBandwidth(req.Label, req.Bytes, req.Write)
-		}
-		if a.tel != nil {
-			a.traceServe(req, a.eng.Now())
-		}
-		if req.OnDone != nil {
-			req.OnDone(a.eng.Now())
-		}
+	a.inflight = req
+	if a.completeFn == nil {
+		a.completeFn = a.complete
+	}
+	a.eng.After(sim.NS(bytes/a.cfg.CapacityBytesPerNS), a.completeFn)
+}
+
+// retry re-runs a dispatch that found nothing eligible, unless a
+// submission has restarted the arbiter meanwhile.
+func (a *Arbiter) retry() {
+	if !a.busy {
+		a.busy = true
 		a.dispatch()
-	})
+	}
+}
+
+// complete finishes the in-flight transfer and dispatches the next.
+func (a *Arbiter) complete() {
+	req := a.inflight
+	a.inflight = nil
+	if a.mons != nil {
+		a.mons.RecordBandwidth(req.Label, req.Bytes, req.Write)
+	}
+	if a.tel != nil {
+		a.traceServe(req, a.eng.Now())
+	}
+	if req.OnDone != nil {
+		req.OnDone(a.eng.Now())
+	}
+	a.dispatch()
 }
 
 // better orders candidate partitions: higher priority, then
@@ -381,8 +419,8 @@ func (a *Arbiter) Utilization() float64 {
 		return 0
 	}
 	var total uint64
-	for _, st := range a.parts {
-		total += st.served
+	for i := range a.parts {
+		total += a.parts[i].served
 	}
 	u := float64(total) / (a.cfg.CapacityBytesPerNS * now)
 	return math.Min(u, 1)

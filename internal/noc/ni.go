@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 
+	"repro/internal/fifo"
 	"repro/internal/netcalc"
 	"repro/internal/sim"
 )
@@ -23,11 +24,7 @@ type NI struct {
 	shaper  *netcalc.Shaper
 	blocked bool
 
-	// queue is a head-indexed FIFO (same rationale as flitq: popping
-	// by reslicing would strand capacity and make every append
-	// reallocate on the hot path).
-	queue   []*Packet
-	qhead   int
+	queue   fifo.Queue[*Packet]
 	credits int // free slots in the router's local input buffer
 	current *Packet
 	left    int // flits of current still to inject
@@ -81,7 +78,7 @@ func (ni *NI) Blocked() bool { return ni.blocked }
 
 // QueueLen returns the number of packets waiting (excluding the one
 // partially injected).
-func (ni *NI) QueueLen() int { return len(ni.queue) - ni.qhead }
+func (ni *NI) QueueLen() int { return ni.queue.Len() }
 
 // Counts returns packets submitted and fully injected so far.
 func (ni *NI) Counts() (submitted, injected uint64) {
@@ -110,7 +107,7 @@ func (ni *NI) Send(p *Packet) error {
 	if ni.noc.tel != nil {
 		ni.noc.traceSubmit(p)
 	}
-	ni.queue = append(ni.queue, p)
+	ni.queue.Push(p)
 	ni.pump()
 	return nil
 }
@@ -137,10 +134,10 @@ func (ni *NI) pump() {
 			return
 		}
 		if ni.current == nil {
-			if len(ni.queue) == ni.qhead {
+			if ni.queue.Len() == 0 {
 				return
 			}
-			head := ni.queue[ni.qhead]
+			head := ni.queue.Peek()
 			now := ni.eng.Now()
 			if ni.shaper != nil {
 				if !ni.shaper.Take(now, float64(head.Bytes)) {
@@ -152,16 +149,7 @@ func (ni *NI) pump() {
 					return
 				}
 			}
-			ni.queue[ni.qhead] = nil
-			ni.qhead++
-			if ni.qhead == len(ni.queue) {
-				ni.queue = ni.queue[:0]
-				ni.qhead = 0
-			} else if ni.qhead > 32 && ni.qhead*2 >= len(ni.queue) {
-				n := copy(ni.queue, ni.queue[ni.qhead:])
-				ni.queue = ni.queue[:n]
-				ni.qhead = 0
-			}
+			ni.queue.Pop()
 			ni.current = head
 			ni.left = ni.noc.FlitsFor(head.Bytes)
 			head.Injected = now
@@ -179,7 +167,7 @@ func (ni *NI) pump() {
 		ni.credits--
 		ni.left--
 		r := ni.noc.router(ni.at)
-		r.in[Local].push(f)
+		r.push(Local, f)
 		r.kick()
 		if ni.left == 0 {
 			ni.injected++

@@ -121,40 +121,6 @@ type flit struct {
 	tail bool
 }
 
-// flitq is a head-indexed FIFO of flits. Popping advances an index
-// instead of reslicing (q = q[1:] strands the popped element's
-// capacity, so the next append reallocates — the dominant allocation
-// in the switching hot path before this type existed); capacity is
-// recycled when the queue drains and compacted when the dead prefix
-// dominates.
-type flitq struct {
-	buf  []flit
-	head int
-}
-
-func (q *flitq) len() int { return len(q.buf) - q.head }
-
-func (q *flitq) push(f flit) { q.buf = append(q.buf, f) }
-
-// peek returns the head flit without removing it; only valid when
-// len() > 0.
-func (q *flitq) peek() *flit { return &q.buf[q.head] }
-
-func (q *flitq) pop() flit {
-	f := q.buf[q.head]
-	q.buf[q.head] = flit{}
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head > 32 && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	return f
-}
-
 // NoC is the mesh fabric.
 type NoC struct {
 	eng     *sim.Engine
@@ -285,6 +251,17 @@ func (n *NoC) FlitHops() uint64 {
 	var total uint64
 	for _, r := range n.routers {
 		total += r.flitHops
+	}
+	return total
+}
+
+// Probes returns the input queues the routers' round-robin arbiters
+// have examined to pick packet heads, summed like FlitHops. It is a
+// work count, not a telemetry instrument: dumps do not carry it.
+func (n *NoC) Probes() uint64 {
+	var total uint64
+	for _, r := range n.routers {
+		total += r.probes
 	}
 	return total
 }

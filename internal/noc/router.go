@@ -1,6 +1,11 @@
 package noc
 
-import "repro/internal/sim"
+import (
+	"math/bits"
+
+	"repro/internal/fifo"
+	"repro/internal/sim"
+)
 
 // router is one mesh router: five input FIFOs, five output ports with
 // wormhole locking and round-robin (iSLIP-style) arbitration, and
@@ -13,7 +18,13 @@ type router struct {
 	eng *sim.Engine
 
 	// in[p] is the input FIFO fed by the neighbor (or NI) on port p.
-	in [numPorts]flitq
+	// Flits enter and leave only through push and pop, which keep
+	// ready in step.
+	in [numPorts]fifo.Queue[flit]
+	// ready[p] has bit i set iff input i's head flit is a packet head
+	// that routeXY sends to output p: the inputs an unlocked output p
+	// may grant.
+	ready [numPorts]uint8
 	// out[p] is the state of output port p.
 	out [numPorts]outPort
 	// credits[p] counts free downstream buffer slots through output p.
@@ -23,6 +34,9 @@ type router struct {
 	// the fabric sums them on read.
 	delivered uint64
 	flitHops  uint64
+	// probes counts the input queues the round-robin arbiter examines
+	// to pick a packet head (the pick it makes from ready is one).
+	probes uint64
 
 	// creditFns[p] returns one credit to input port p's bookkeeping on
 	// THIS router; prebound so cross-cut credit returns reuse one
@@ -85,36 +99,65 @@ func (r *router) kick() {
 	}
 }
 
+// push appends f to input i, marking i ready when f becomes the head
+// of an empty queue and starts a packet.
+func (r *router) push(i Port, f flit) {
+	q := &r.in[i]
+	if q.Len() == 0 && f.head {
+		r.ready[routeXY(r.at, f.pkt.Dst)] |= 1 << i
+	}
+	q.Push(f)
+}
+
+// pop removes input i's head flit and re-marks i for the flit behind
+// it.
+func (r *router) pop(i Port) flit {
+	q := &r.in[i]
+	f := q.Pop()
+	if f.head {
+		r.ready[routeXY(r.at, f.pkt.Dst)] &^= 1 << i
+	}
+	if q.Len() > 0 {
+		if h := q.Peek(); h.head {
+			r.ready[routeXY(r.at, h.pkt.Dst)] |= 1 << i
+		}
+	}
+	return f
+}
+
+// grant returns the input output p serves next, or -1. A locked port
+// (wormhole) waits for its packet's next flit; an unlocked one grants
+// the first ready input at or after its round-robin pointer and moves
+// the pointer past it, even if the credit check then refuses the flit.
+func (r *router) grant(p Port) Port {
+	o := &r.out[p]
+	if o.locked {
+		if r.in[o.input].Len() > 0 {
+			return o.input
+		}
+		return -1
+	}
+	m := uint(r.ready[p])
+	if m == 0 {
+		return -1
+	}
+	// Rotate the 5-bit mask right by rr so bit 0 is input rr; its
+	// lowest set bit is then the first ready input in round-robin order.
+	rr := uint(o.rr)
+	m = (m>>rr | m<<(uint(numPorts)-rr)) & (1<<numPorts - 1)
+	in := Port((rr + uint(bits.TrailingZeros(m))) % uint(numPorts))
+	o.rr = (in + 1) % numPorts
+	r.probes++
+	return in
+}
+
 // tryOutput attempts to forward one flit through output port p.
 func (r *router) tryOutput(p Port) {
 	o := &r.out[p]
 	if o.busy {
 		return
 	}
-	var inPort Port = -1
-	if o.locked {
-		// Wormhole: only the locked input may proceed, and only with
-		// the locked packet's next flit at its head.
-		if r.in[o.input].len() > 0 {
-			inPort = o.input
-		}
-	} else {
-		// Round-robin among inputs whose head flit is a packet head
-		// routed to this output.
-		for i := 0; i < int(numPorts); i++ {
-			cand := Port((int(o.rr) + i) % int(numPorts))
-			q := &r.in[cand]
-			if q.len() == 0 || !q.peek().head {
-				continue
-			}
-			if routeXY(r.at, q.peek().pkt.Dst) != p {
-				continue
-			}
-			inPort = cand
-			o.rr = Port((int(cand) + 1) % int(numPorts))
-			break
-		}
-	}
+	inPort := r.grant(p)
 	if inPort < 0 {
 		return
 	}
@@ -123,7 +166,7 @@ func (r *router) tryOutput(p Port) {
 		return
 	}
 
-	f := r.in[inPort].pop()
+	f := r.pop(inPort)
 	r.credits[p]--
 	if f.head {
 		o.locked, o.input = true, inPort
@@ -152,7 +195,7 @@ func (r *router) tryOutput(p Port) {
 			// at the same instant via crossDone.
 			inp := opposite(p)
 			r.eng.CrossAfter(next.eng, r.noc.cfg.FlitTime, linkKey(r.noc.idx(r.at), p), func() {
-				next.in[inp].push(f)
+				next.push(inp, f)
 				next.kick()
 			})
 			r.eng.After(r.noc.cfg.FlitTime, o.crossDone)
@@ -186,7 +229,7 @@ func (r *router) finishFlit(p Port) {
 		r.eject(f)
 	} else {
 		next := r.noc.router(neighbor(r.at, p))
-		next.in[opposite(p)].push(f)
+		next.push(opposite(p), f)
 		next.kick()
 	}
 	r.kick()
